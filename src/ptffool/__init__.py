@@ -2,13 +2,16 @@
 degree-2 polynomial threshold functions.
 
 Everything that can be checked exactly is checked exactly: sample
-spaces are verified parity by parity over their full support, fooling
-deviations come from rational arithmetic or an LP with dual
-certificates re-verified in integers, and restriction trees carry
-dyadic leaf masses that must sum to one.  Floating point shows up only
+spaces are verified on every low-order parity by one integer
+Walsh-Hadamard transform of their point histogram, fooling deviations
+come from rational arithmetic or an LP with dual certificates
+re-verified in integers, and restriction trees carry dyadic leaf masses
+that must sum to one.  Floating point shows up only
 where analysis does (moment bounds, mollifier quadrature, hyperplane
 rounding statistics), always next to a stated tolerance.
 """
+
+__version__ = "0.1.0"
 
 from .config import RunConfig
 from .errors import (CertificateError, ConfigurationError,

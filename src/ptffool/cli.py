@@ -13,10 +13,10 @@ Exit codes follow a small contract:
   2   nothing failed but at least one check was inconclusive
   64  the invocation itself was invalid (bad flag, malformed file)
 
-Randomness never comes from global state.  The master seed feeds a
-SeedSequence, per-task seeds are spawned from it by a stable label, and
-the counter-based Philox generator turns them into streams, so adding or
-reordering tasks cannot perturb unrelated results.
+Randomness never comes from global state.  Every generator is
+``np.random.default_rng`` (PCG64) seeded explicitly: from the command's
+--seed, or from a task seed spawned off the master seed by a stable label
+through a SeedSequence.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import config, fooling, gw, moments, mollify, spaces, tree
+from . import __version__, config, fooling, gw, moments, mollify, spaces, tree
 from .config import RunConfig
 from .errors import (ConfigurationError, FormatError, InconclusiveError,
                      InvalidOrderError, PtfFoolError)
@@ -43,11 +43,7 @@ from .poly import (DegTwoPoly, critical_index, influences, load_poly,
 
 
 def _version() -> str:
-    try:
-        from importlib.metadata import version
-        return f"ptffool-{version('ptffool')}"
-    except Exception:
-        return "ptffool-unknown"
+    return f"ptffool-{__version__}"
 
 
 def _plain(obj):
@@ -75,12 +71,6 @@ def _rng_seed(master: int, label: str) -> int:
     ss = np.random.SeedSequence(entropy=master,
                                 spawn_key=(zlib.crc32(label.encode()),))
     return int(ss.generate_state(1, dtype=np.uint64)[0] >> np.uint64(1))
-
-
-def task_rng(master: int, label: str) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=master,
-                                spawn_key=(zlib.crc32(label.encode()),))
-    return np.random.Generator(np.random.Philox(ss))
 
 
 def _emit(payload: dict, path: Optional[str], master_seed: int,
@@ -304,11 +294,13 @@ def _cmd_fool_lp(args) -> int:
         "certificate_upper": _certificate_payload(rep.certificate_upper),
         "certificate_lower": _certificate_payload(rep.certificate_lower),
     }
-    ok = (not rep.witness_repair_failed and rep.certificate_upper.verified
-          and rep.certificate_lower.verified and rep.check_order_invariant())
-    if args.emit_witness:
-        if rep.witness_max is None:
-            raise InconclusiveError("no witness distribution to emit")
+    ok = (rep.certificate_upper.verified and rep.certificate_lower.verified
+          and rep.check_order_invariant())
+    if rep.witness_repair_failed:
+        payload["inconclusive_reason"] = (
+            "exact witness repair gave up (LP support above "
+            f"{config.WITNESS_REPAIR_MAX_SUPPORT} points or no exact solution)")
+    if args.emit_witness and rep.witness_max is not None:
         spaces.dump_sample_space(rep.witness_max, args.emit_witness)
         payload["witness_file"] = args.emit_witness
         payload["witness_verified"] = rep.witness_max_check.passed
@@ -319,7 +311,9 @@ def _cmd_fool_lp(args) -> int:
             fh.write(json.dumps(_plain(cert_body), indent=1, sort_keys=True) + "\n")
         payload["certificate_file"] = args.emit_cert
     _emit(payload, args.report, args.seed, "fool lp")
-    return 0 if ok else 1
+    if not ok:
+        return 1
+    return 2 if rep.witness_repair_failed else 0
 
 
 def _cmd_fool_sweep(args) -> int:

@@ -3,7 +3,8 @@
 Row order is fixed once and shared by every consumer: row r encodes x_i
 = +1 when bit i of r is clear and -1 when it is set.  That matches the
 bitmask layout the exact verifier uses, so parity columns can be built
-straight from popcounts.
+straight from popcounts and ``fwht`` returns every parity sum of a
+function on the cube at once.
 
 Two evaluation paths exist for degree-2 polynomials.  The blocked path
 is the production one (bit extraction plus matrix products on slabs of
@@ -116,6 +117,27 @@ def parity_column(n: int, subset: Sequence[int]) -> np.ndarray:
     indices = np.arange(1 << n, dtype=np.uint64)
     odd = popcount_u64(indices & np.uint64(subset_mask(subset))) & 1
     return (1 - 2 * odd.astype(np.int8)).astype(np.int8)
+
+
+def fwht(values: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform in row order: out[S] = sum_x values[x] chi_S(x).
+
+    Unnormalized, so applying it twice multiplies by 2^n.  The butterflies
+    only add and subtract, so int64 input stays exact while the sum of
+    |values| fits, and object arrays of Python ints are always exact.
+    """
+    out = np.array(values, copy=True)
+    size = out.shape[0]
+    if size & (size - 1):
+        raise ValueError(f"length {size} is not a power of two")
+    half = 1
+    while half < size:
+        pairs = out.reshape(-1, 2, half)
+        low = pairs[:, 0].copy()
+        pairs[:, 0] += pairs[:, 1]
+        pairs[:, 1] = low - pairs[:, 1]
+        half *= 2
+    return out
 
 
 def parity_column_for_points(points: np.ndarray,

@@ -1,10 +1,12 @@
-"""Arithmetic in the binary fields GF(2^m) for m up to 24.
+"""Arithmetic in the binary fields GF(2^m) for m up to 24, and linear maps
+over GF(2).
 
-Elements are plain integers in [0, 2^m) interpreted as polynomials over
-GF(2); multiplication is carry-less followed by reduction modulo a fixed
-irreducible polynomial.  Two multiply paths are provided: a scalar one on
-Python ints and a vectorized one on uint64 arrays, because the sample
-space constructions evaluate the same small polynomial at every seed.
+Field elements are plain integers in [0, 2^m) interpreted as polynomials
+over GF(2); multiplication is carry-less followed by reduction modulo a
+fixed irreducible polynomial, vectorized over uint64 arrays.  A linear
+map over GF(2) is a 0/1 uint8 generator matrix G (input bits x output
+bits): ``xor_span`` gives the image of every input, ``mod2_matmul`` the
+images of given inputs.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from .errors import ConfigurationError
 
 # One irreducible polynomial per degree, written with the leading x^m bit
 # included.  These are the classic low-weight (tri/pentanomial) choices
-# from the standard LFSR tables; a test exercises the field axioms.
+# from the standard LFSR tables; tests check products against a scalar oracle.
 IRREDUCIBLE = {
     1: 0b11,
     2: 0b111,
@@ -45,6 +47,10 @@ IRREDUCIBLE = {
 
 MAX_DEGREE = max(IRREDUCIBLE)
 
+#: Most entries of any float32 operand or product in one mod2_matmul step
+#: (2 MiB), so temporaries stay at a few MB whatever the row count.
+BLOCK_ELEMENTS = 1 << 19
+
 
 def _check_degree(m: int) -> None:
     if m not in IRREDUCIBLE:
@@ -52,52 +58,35 @@ def _check_degree(m: int) -> None:
             f"field degree m={m} unsupported (1 <= m <= {MAX_DEGREE})")
 
 
-def gf_mul(a: int, b: int, m: int) -> int:
-    """Product of two field elements of GF(2^m)."""
-    _check_degree(m)
-    poly = IRREDUCIBLE[m]
-    acc = 0
-    while b:
-        if b & 1:
-            acc ^= a
-        b >>= 1
-        a <<= 1
-        if a >> m:
-            a ^= poly
-    return acc
+def gf_mul_vec(a, b, m: int) -> np.ndarray:
+    """Elementwise product of field elements in GF(2^m).
 
-
-def gf_pow(a: int, e: int, m: int) -> int:
-    """a raised to a nonnegative integer power."""
-    result = 1
-    base = a
-    while e:
-        if e & 1:
-            result = gf_mul(result, base, m)
-        base = gf_mul(base, base, m)
-        e >>= 1
-    return result
-
-
-def gf_mul_vec(a: np.ndarray, b: int, m: int) -> np.ndarray:
-    """Elementwise product of a uint64 array with one fixed field element.
-
-    Runs the schoolbook shift-and-xor over the bits of ``b`` with a
+    ``b`` is one element or an array that broadcasts against ``a``.  Runs
+    the schoolbook shift-and-xor over the m bits of ``b`` with a
     reduction step per shift, so intermediate values stay below 2^(m+1)
     and uint64 never overflows for m <= 24.
     """
     _check_degree(m)
     poly = np.uint64(IRREDUCIBLE[m])
-    top = np.uint64(1 << m)
-    acc = np.zeros_like(a)
-    cur = a.astype(np.uint64).copy()
+    cur = np.array(a, dtype=np.uint64)
+    b = np.asarray(b, dtype=np.uint64)
+    acc = np.zeros(np.broadcast_shapes(cur.shape, b.shape), dtype=np.uint64)
     for bit in range(m):
-        if (b >> bit) & 1:
-            acc ^= cur
+        acc ^= cur * ((b >> np.uint64(bit)) & np.uint64(1))
         cur <<= np.uint64(1)
-        overflow = (cur & top).astype(bool)
-        cur[overflow] ^= poly
+        cur ^= (cur >> np.uint64(m)) * poly
     return acc
+
+
+def gf_powers(base, count: int, m: int) -> np.ndarray:
+    """Table of shape (count, len(base)) whose row j is base**j,
+    elementwise, built by doubling (two products per doubling)."""
+    step = np.asarray(base, dtype=np.uint64)
+    table = np.ones((1,) + step.shape, dtype=np.uint64)
+    while len(table) < count:
+        table = np.concatenate([table, gf_mul_vec(table, step, m)])
+        step = gf_mul_vec(step, step, m)
+    return table[:count]
 
 
 def gf_elements(count: int, m: int, *, nonzero: bool = False) -> list[int]:
@@ -109,6 +98,44 @@ def gf_elements(count: int, m: int, *, nonzero: bool = False) -> list[int]:
             f"GF(2^{m}) has only {(1 << m) - start} usable elements, "
             f"need {count}")
     return list(range(start, start + count))
+
+
+def unpack_bits(values: np.ndarray, width: int) -> np.ndarray:
+    """The low ``width`` bits of each entry of a 2-D uint64 array, least
+    significant first, laid out entry after entry along each row."""
+    v = np.ascontiguousarray(values, dtype="<u8")
+    bits = np.unpackbits(v.view(np.uint8).reshape(v.shape + (8,)), axis=-1,
+                         bitorder="little")
+    return bits[..., :width].reshape(v.shape[0], v.shape[1] * width)
+
+
+def xor_span(G: np.ndarray) -> np.ndarray:
+    """Row s is the XOR of the rows of G at the set bits of s, for every
+    s < 2^rows(G): the image of every seed, by XOR doubling."""
+    out = np.zeros((1 << G.shape[0], G.shape[1]), dtype=np.uint8)
+    for b, row in enumerate(G):
+        np.bitwise_xor(out[:1 << b], row, out=out[1 << b:2 << b])
+    return out
+
+
+def mod2_matmul(bits: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """(bits @ G) mod 2 for 0/1 uint8 matrices, exactly.
+
+    float32 BLAS is exact here because each block sums fewer than 2^24
+    products of 0 and 1.  Blocks of rows and of the inner dimension keep
+    every float32 operand and product at BLOCK_ELEMENTS entries or fewer.
+    """
+    rows, inner = bits.shape
+    row_step = max(1, BLOCK_ELEMENTS // max(1, G.shape[1]))
+    step = max(1, min((1 << 24) - 1,
+                      BLOCK_ELEMENTS // max(1, min(rows, row_step), G.shape[1])))
+    out = np.zeros((rows, G.shape[1]), dtype=np.uint8)
+    for lo in range(0, inner, step):
+        block = G[lo:lo + step].astype(np.float32)
+        for r in range(0, rows, row_step):
+            part = bits[r:r + row_step, lo:lo + step].astype(np.float32) @ block
+            out[r:r + row_step] ^= (part.astype(np.int32) & 1).astype(np.uint8)
+    return out
 
 
 _POPCOUNT_16 = np.array([bin(i).count("1") for i in range(1 << 16)],

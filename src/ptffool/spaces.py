@@ -12,17 +12,24 @@ Two explicit constructions are provided for k-wise independent ±1 vectors:
   floor(k/2)*m (+1 for odd k) with m = ceil(log2(n+1)), roughly half of
   the Vandermonde length.
 
-Verification is exact: biases of all parities of order up to k are
-computed in integer/rational arithmetic, never floating point, because
-k-wise independence is an exact property and an approximate check would
-mask construction bugs.
+Both, and the Gaussian levels below, are GF(2)-linear in the seed bits,
+so every space is one generator matrix G (seed bits x output bits):
+materializing is XOR doubling over the rows of G, sampling is drawn seed
+bits @ G mod 2.
+
+Verification is exact: the biases of all parities of order up to k are
+integers over a common denominator, from one integer Walsh-Hadamard
+transform of the point histogram, never floating point, because k-wise
+independence is an exact property and an approximate check would mask
+construction bugs.
 
 Gaussian spaces come in two flavors.  ``inverse_cdf`` feeds exactly
-k-wise independent uniform levels through the normal quantile function,
-so any k coordinates are mutually independent and the marginal is a
-q-level discretization of N(0,1).  ``binomial_sum`` averages N
-bounded-independence bits per coordinate, giving mean 0 and variance
-exactly 1 at the cost of a lattice marginal.
+k-wise independent uniform levels (the low log2 q bits of the field
+evaluations) through the normal quantile function, so any k coordinates
+are mutually independent and the marginal is a q-level discretization
+of N(0,1).  ``binomial_sum`` averages N bounded-independence bits per
+coordinate, giving mean 0 and variance exactly 1 at the cost of a
+lattice marginal.
 """
 
 from __future__ import annotations
@@ -31,15 +38,39 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.special import ndtri
 
 from . import config
+from .cube import fwht
 from .errors import (ConfigurationError, FormatError, InvalidOrderError,
                      ResourceBudgetError)
-from .gf2 import gf_elements, gf_mul, gf_mul_vec, gf_pow, popcount_u64
+from .gf2 import (BLOCK_ELEMENTS, gf_elements, gf_mul_vec, gf_powers,
+                  mod2_matmul, popcount_u64, unpack_bits, xor_span)
+
+
+# --------------------------------------------------------------------------
+# generator matrices
+
+
+def _evaluation_generator(points, k: int, m: int, width: int) -> np.ndarray:
+    """G of x_i = the low ``width`` bits of sum_j c_j alpha_i^j in GF(2^m).
+
+    The seed is k little-endian m-bit blocks c_j, so seed bit j*m + b maps
+    to the field element x^b alpha_i^j.  Columns run coordinate-major,
+    bits least significant first.
+    """
+    alpha = np.array(points, dtype=np.uint64)
+    basis = gf_mul_vec(gf_powers(alpha, k, m)[:, None, :],
+                       np.uint64(1) << np.arange(m, dtype=np.uint64)[:, None], m)
+    return unpack_bits(basis.reshape(k * m, len(alpha)), width)
+
+
+def _seed_bits(seed: int, width: int) -> np.ndarray:
+    """The bits of one integer seed as a (1, width) row, least significant first."""
+    return np.array([[(seed >> b) & 1 for b in range(width)]], dtype=np.uint8)
 
 
 # --------------------------------------------------------------------------
@@ -48,11 +79,10 @@ from .gf2 import gf_elements, gf_mul, gf_mul_vec, gf_pow, popcount_u64
 
 @dataclass(frozen=True)
 class BernoulliConstruction:
-    """A seed-indexed k-wise independent map {0,1}^seed_bits -> {-1,1}^n.
-
-    The object is a pure function of its parameters; it can be sampled
-    point by point without materializing the full support, which is what
-    the Gaussian ``binomial_sum`` method relies on when n*N is large.
+    """A seed-indexed k-wise independent map {0,1}^seed_bits -> {-1,1}^n,
+    GF(2)-linear with generator matrix ``generator()``.  Points can be
+    derived one seed at a time without materializing the full support,
+    which the Gaussian ``binomial_sum`` method relies on when n*N is large.
     """
 
     n: int
@@ -66,79 +96,30 @@ class BernoulliConstruction:
     def num_seeds(self) -> int:
         return 1 << self.seed_bits
 
-    def _coef_count(self) -> int:
+    def generator(self) -> np.ndarray:
+        """G (seed_bits x n, uint8): coordinate i of seed s is -1 iff bit i
+        of (bits of s) @ G mod 2 is set."""
         if self.method == "vandermonde_bit":
-            return self.k
-        return self.k // 2  # bch blocks, excluding the parity bit
-
-    def _split_seed(self, seed: int) -> tuple[int, list[int]]:
-        """Returns (parity_bit, field element blocks), little-endian."""
-        mask = (1 << self.m) - 1
-        parity = 0
-        if self.method == "bch_parity" and self.k % 2 == 1:
-            parity = seed & 1
-            seed >>= 1
-        blocks = [(seed >> (j * self.m)) & mask for j in range(self._coef_count())]
-        return parity, blocks
+            return _evaluation_generator(self.eval_points, self.k, self.m, 1)
+        # bch: bit i = parity ^ <y_j, alpha_i^(2j+1)> over the m-bit blocks y_j
+        alpha = np.array(self.eval_points, dtype=np.uint64)
+        odd = gf_mul_vec(gf_powers(gf_mul_vec(alpha, alpha, self.m),
+                                   self.k // 2, self.m), alpha, self.m)
+        G = unpack_bits(odd.T, self.m).T
+        if self.k % 2:          # the shared parity bit is seed bit 0
+            G = np.vstack([np.ones((1, self.n), dtype=np.uint8), G])
+        return G
 
     def point_from_seed(self, seed: int) -> np.ndarray:
         """The ±1 vector indexed by ``seed``.  Pure and deterministic."""
         if not (0 <= seed < self.num_seeds):
             raise ValueError(f"seed {seed} out of range [0, 2^{self.seed_bits})")
-        parity, blocks = self._split_seed(seed)
-        out = np.empty(self.n, dtype=np.int8)
-        for i, alpha in enumerate(self.eval_points):
-            if self.method == "vandermonde_bit":
-                # Horner evaluation of the seed polynomial at alpha.
-                acc = 0
-                for c in reversed(blocks):
-                    acc = gf_mul(acc, alpha, self.m) ^ c
-                bit = acc & 1
-            else:
-                bit = parity
-                for j, y in enumerate(blocks):
-                    power = gf_pow(alpha, 2 * j + 1, self.m)
-                    bit ^= bin(y & power).count("1") & 1
-            out[i] = 1 - 2 * bit
-        return out
-
-    def points_for_seeds(self, seeds: np.ndarray) -> np.ndarray:
-        """Vectorized ``point_from_seed`` over a uint64 seed array."""
-        seeds = np.asarray(seeds, dtype=np.uint64)
-        mask = np.uint64((1 << self.m) - 1)
-        parity = np.zeros(len(seeds), dtype=np.uint64)
-        shifted = seeds
-        if self.method == "bch_parity" and self.k % 2 == 1:
-            parity = seeds & np.uint64(1)
-            shifted = seeds >> np.uint64(1)
-        blocks = [(shifted >> np.uint64(j * self.m)) & mask
-                  for j in range(self._coef_count())]
-        out = np.empty((len(seeds), self.n), dtype=np.int8)
-        for i, alpha in enumerate(self.eval_points):
-            if self.method == "vandermonde_bit":
-                acc = np.zeros(len(seeds), dtype=np.uint64)
-                for c in reversed(blocks):
-                    acc = gf_mul_vec(acc, alpha, self.m) ^ c
-                bits = (acc & np.uint64(1)).astype(np.uint8)
-            else:
-                bits = parity.astype(np.uint8)
-                for j, y in enumerate(blocks):
-                    power = np.uint64(gf_pow(alpha, 2 * j + 1, self.m))
-                    bits ^= (popcount_u64(y & power) & np.uint8(1))
-            out[:, i] = 1 - 2 * bits.astype(np.int8)
-        return out
-
-    def points_for_seeds_big(self, seeds: Iterable[int]) -> np.ndarray:
-        """Row-by-row fallback for seeds wider than 64 bits."""
-        seeds = list(seeds)
-        out = np.empty((len(seeds), self.n), dtype=np.int8)
-        for r, s in enumerate(seeds):
-            out[r] = self.point_from_seed(s)
-        return out
+        bits = mod2_matmul(_seed_bits(seed, self.seed_bits), self.generator())
+        return 1 - 2 * bits[0].view(np.int8)
 
     def materialize(self) -> np.ndarray:
-        seeds = np.arange(self.num_seeds, dtype=np.uint64)
-        return self.points_for_seeds(seeds)
+        """Every point, row s for seed s."""
+        return 1 - 2 * xor_span(self.generator()).view(np.int8)
 
 
 def _vandermonde_construction(n: int, k: int) -> BernoulliConstruction:
@@ -211,19 +192,6 @@ class SampleSpace:
                 raise ConfigurationError(
                     "seed-based space must have 2^seed_bits points")
 
-    def weight_of_row(self, idx: int) -> Fraction:
-        if self.weights is None:
-            return Fraction(1, self.num_points)
-        return self.weights[idx]
-
-    def point_distribution(self) -> dict[tuple[int, ...], Fraction]:
-        """Aggregate probability per distinct point (exact)."""
-        dist: dict[tuple[int, ...], Fraction] = {}
-        for idx in range(self.num_points):
-            key = tuple(int(v) for v in self.points[idx])
-            dist[key] = dist.get(key, Fraction(0)) + self.weight_of_row(idx)
-        return dist
-
 
 def build_kwise_bernoulli(n: int, k: int, method: str = "vandermonde_bit",
                           budget: int = config.SUPPORT_BUDGET) -> SampleSpace:
@@ -261,19 +229,10 @@ def sample(space, seed: int) -> np.ndarray:
     """
     if isinstance(space, GaussianSpace):
         return space.sample(seed)
-    if space.weights is None:
-        if not 0 <= seed < space.num_points:
-            raise ValueError(f"seed {seed} out of range")
-        return space.points[seed].copy()
-    denom = space.num_seeds
+    weights, denom = _integer_weights(space)
     if not 0 <= seed < denom:
         raise ValueError(f"seed {seed} out of range [0, {denom})")
-    acc = 0
-    for idx, w in enumerate(space.weights):
-        acc += int(w * denom)
-        if seed < acc:
-            return space.points[idx].copy()
-    raise AssertionError("weights must cover the seed range")
+    return space.points[np.searchsorted(np.cumsum(weights), seed, side="right")].copy()
 
 
 # --------------------------------------------------------------------------
@@ -295,55 +254,56 @@ class VerificationReport:
                 f"parities; worst |bias| {self.worst_bias} at {self.worst_subset}")
 
 
-def _row_bitmasks(points: np.ndarray) -> np.ndarray:
-    """Encode each ±1 row as a uint64 mask with bit i set iff x_i = -1."""
-    neg = (points < 0).astype(np.uint64)
-    weights = (np.uint64(1) << np.arange(points.shape[1], dtype=np.uint64))
-    return neg @ weights
+def _integer_weights(space: SampleSpace) -> tuple[np.ndarray, int]:
+    """Row weights as integer numerators over their common denominator.
+    They are nonnegative and sum to it, so every parity sum fits int64
+    when the denominator does; Python ints (an object array) otherwise."""
+    if space.weights is None:
+        return np.ones(space.num_points, dtype=np.int64), space.num_points
+    denom = space.num_seeds
+    nums = [w.numerator * (denom // w.denominator) for w in space.weights]
+    return np.array(nums, dtype=np.int64 if denom < 1 << 63 else object), denom
 
 
 def verify_kwise_exact(space: SampleSpace, k: Optional[int] = None) -> VerificationReport:
     """Exact zero-bias check of every parity of order 1..k.
 
     All arithmetic is integer or rational; a space passes iff every bias
-    is exactly zero.  The report carries the maximal-bias subset so a
-    failure is immediately actionable.
+    is exactly zero.  When 2^n fits ``config.SUPPORT_BUDGET`` all biases
+    come from one integer Walsh-Hadamard transform of the weighted point
+    histogram, otherwise from one parity at a time.  Failures are listed
+    by size, then lexicographically; the report carries the first subset
+    of maximal bias so a failure is immediately actionable.
     """
     order = space.k_claimed if k is None else k
     n = space.n
-    worst_subset = None
-    worst_bias = Fraction(0)
-    failures = []
-    checked = 0
-
-    if space.weights is None:
-        masks = _row_bitmasks(space.points)
-        total = space.num_points
-        for size in range(1, order + 1):
-            for subset in combinations(range(n), size):
-                checked += 1
-                smask = np.uint64(sum(1 << i for i in subset))
-                odd = int(np.sum((popcount_u64(masks & smask) & np.uint8(1)),
-                                 dtype=np.int64))
-                bias = Fraction(total - 2 * odd, total)
-                if bias != 0:
-                    failures.append((subset, bias))
-                if abs(bias) > abs(worst_bias):
-                    worst_bias, worst_subset = bias, subset
+    weights, total = _integer_weights(space)
+    neg = space.points < 0
+    biased = []                     # (subset, integer parity sum), in order
+    if (1 << n) <= config.SUPPORT_BUDGET:
+        packed = np.packbits(neg, axis=1, bitorder="little").astype(np.int64)
+        index = packed @ (np.int64(1) << 8 * np.arange(packed.shape[1], dtype=np.int64))
+        hist = np.zeros(1 << n, dtype=weights.dtype)
+        np.add.at(hist, index, weights)
+        spectrum = fwht(hist)
+        size = popcount_u64(np.arange(1 << n, dtype=np.uint64))
+        masks = np.flatnonzero((spectrum != 0) & (size >= 1) & (size <= order))
+        biased = sorted(((tuple(i for i in range(n) if s >> i & 1), int(spectrum[s]))
+                         for s in masks.tolist()), key=lambda e: (len(e[0]), e[0]))
     else:
-        cols = space.points.astype(np.int64)
         for size in range(1, order + 1):
             for subset in combinations(range(n), size):
-                checked += 1
-                chi = np.prod(cols[:, subset], axis=1)
-                bias = Fraction(0)
-                for idx in range(space.num_points):
-                    bias += space.weights[idx] * int(chi[idx])
-                if bias != 0:
-                    failures.append((subset, bias))
-                if abs(bias) > abs(worst_bias):
-                    worst_bias, worst_subset = bias, subset
+                odd = np.bitwise_xor.reduce(neg[:, subset], axis=1)
+                value = total - 2 * int(weights[odd].sum())
+                if value:
+                    biased.append((subset, value))
 
+    failures = [(subset, Fraction(value, total)) for subset, value in biased]
+    worst_subset, worst_bias = None, Fraction(0)
+    for subset, bias in failures:
+        if abs(bias) > abs(worst_bias):
+            worst_bias, worst_subset = bias, subset
+    checked = sum(math.comb(n, size) for size in range(1, min(order, n) + 1))
     return VerificationReport(passed=not failures, order=order,
                               subsets_checked=checked,
                               worst_subset=worst_subset,
@@ -381,61 +341,61 @@ class GaussianSpace:
     def num_seeds(self) -> int:
         return 1 << self.seed_bits
 
-    # -- inverse_cdf internals
+    def generator(self) -> np.ndarray:
+        """G (seed_bits x output bits, uint8): the log2 q level bits of each
+        coordinate for inverse_cdf, the underlying bits for binomial_sum."""
+        if self.method == "inverse_cdf":
+            return _evaluation_generator(self.eval_points, self.k_claimed,
+                                         self.m, self.resolution.bit_length() - 1)
+        return self.underlying.generator()
 
-    def _levels_for_blocks(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
-        """Field evaluations at all coordinates; blocks are coefficient
-        arrays (little-endian), one per polynomial degree."""
-        count = len(blocks[0])
-        out = np.empty((count, self.n), dtype=np.uint64)
-        for i, alpha in enumerate(self.eval_points):
-            acc = np.zeros(count, dtype=np.uint64)
-            for c in reversed(blocks):
-                acc = gf_mul_vec(acc, alpha, self.m) ^ c
-            out[:, i] = acc
-        qmask = np.uint64(self.resolution - 1)
-        return out & qmask
-
-    def _z_from_levels(self, levels: np.ndarray) -> np.ndarray:
-        q = self.resolution
-        return ndtri((levels.astype(np.float64) + 0.5) / q)
+    def _z(self, bits: np.ndarray) -> np.ndarray:
+        """Samples (rows, n) from output bits (rows, columns of G)."""
+        rows = bits.shape[0]
+        if self.method == "inverse_cdf":
+            width = self.resolution.bit_length() - 1
+            levels = np.zeros((rows, self.n), dtype=np.int64)
+            for bit in range(width):        # column i*width + bit: that bit of level i
+                levels |= bits[:, bit::width].astype(np.int64) << bit
+            return ndtri((levels.astype(np.float64) + 0.5) / self.resolution)
+        # each ±1 sum is exact in float64, so counting set bits is identical
+        N = self.resolution
+        ones = bits.reshape(rows, self.n, N).sum(axis=2, dtype=np.int64)
+        return (N - 2 * ones) / math.sqrt(N)
 
     def sample(self, seed: int) -> np.ndarray:
         """Deterministic sample from an integer seed (any size)."""
         if not 0 <= seed < self.num_seeds:
             raise ValueError(f"seed out of range [0, 2^{self.seed_bits})")
-        if self.method == "inverse_cdf":
-            mask = (1 << self.m) - 1
-            blocks = [np.array([(seed >> (j * self.m)) & mask], dtype=np.uint64)
-                      for j in range(self.k_claimed)]
-            return self._z_from_levels(self._levels_for_blocks(blocks))[0]
-        bits = self.underlying.point_from_seed(seed).astype(np.float64)
-        rows = bits.reshape(self.n, self.resolution)
-        return rows.sum(axis=1) / math.sqrt(self.resolution)
+        return self._z(mod2_matmul(_seed_bits(seed, self.seed_bits),
+                                   self.generator()))[0]
 
     def sample_batch(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """(count, n) matrix of samples drawn through ``rng``.
 
-        Equivalent to sampling seeds uniformly; implemented directly on
-        the coefficient blocks so seeds longer than 64 bits pose no
-        problem.
+        Equivalent to sampling seeds uniformly: inverse_cdf draws each of
+        its k coefficient blocks with one ``rng.integers`` call, and
+        binomial_sum 32-bit words per row, the first most significant.
+        Seed bits go through G in blocks of a few MB whatever ``count`` is.
         """
+        G = self.generator()
         if self.method == "inverse_cdf":
-            blocks = [rng.integers(0, 1 << self.m, size=count, dtype=np.uint64)
-                      for _ in range(self.k_claimed)]
-            return self._z_from_levels(self._levels_for_blocks(blocks))
-        u = self.underlying
+            m, k = self.m, self.k_claimed
+            per = max(1, BLOCK_ELEMENTS // (max(1, count) * m))
+            bits = np.zeros((count, G.shape[1]), dtype=np.uint8)
+            for lo in range(0, k, per):
+                coefs = np.stack([rng.integers(0, 1 << m, size=count, dtype=np.uint64)
+                                  for _ in range(min(per, k - lo))], axis=1)
+                bits ^= mod2_matmul(unpack_bits(coefs, m), G[lo * m:(lo + per) * m])
+            return self._z(bits)
         out = np.empty((count, self.n), dtype=np.float64)
-        chunk = max(1, (1 << 22) // max(1, u.n))
-        done = 0
-        while done < count:
+        words = (self.seed_bits + 31) // 32
+        chunk = max(1, (1 << 22) // max(1, G.shape[1]))
+        for done in range(0, count, chunk):
             take = min(chunk, count - done)
-            seeds = _random_seed_ints(rng, take, u.seed_bits)
-            pts = u.points_for_seeds_big(seeds) if u.seed_bits > 63 else \
-                u.points_for_seeds(np.array(seeds, dtype=np.uint64))
-            z = pts.astype(np.float64).reshape(take, self.n, self.resolution)
-            out[done:done + take] = z.sum(axis=2) / math.sqrt(self.resolution)
-            done += take
+            raw = rng.integers(0, 1 << 32, size=(take, words), dtype=np.uint64)
+            seeds = unpack_bits(raw[:, ::-1], 32)[:, :self.seed_bits]
+            out[done:done + take] = self._z(mod2_matmul(seeds, G))
         return out
 
     def enumerate_samples(self, budget: int = config.SUPPORT_BUDGET) -> np.ndarray:
@@ -443,15 +403,7 @@ class GaussianSpace:
         if self.num_seeds > budget:
             raise ResourceBudgetError(
                 f"2^{self.seed_bits} seeds exceed budget {budget}")
-        if self.method == "inverse_cdf":
-            seeds = np.arange(self.num_seeds, dtype=np.uint64)
-            mask = np.uint64((1 << self.m) - 1)
-            blocks = [(seeds >> np.uint64(j * self.m)) & mask
-                      for j in range(self.k_claimed)]
-            return self._z_from_levels(self._levels_for_blocks(blocks))
-        pts = self.underlying.materialize().astype(np.float64)
-        z = pts.reshape(self.num_seeds, self.n, self.resolution)
-        return z.sum(axis=2) / math.sqrt(self.resolution)
+        return self._z(xor_span(self.generator()))
 
     def marginal_values(self) -> np.ndarray:
         """Support of one coordinate's marginal (inverse_cdf only)."""
@@ -459,20 +411,6 @@ class GaussianSpace:
             raise ConfigurationError("defined for inverse_cdf spaces")
         q = self.resolution
         return ndtri((np.arange(q, dtype=np.float64) + 0.5) / q)
-
-
-def _random_seed_ints(rng: np.random.Generator, count: int, bits: int) -> list[int]:
-    """Uniform Python ints below 2^bits, drawn 32 bits at a time."""
-    words = (bits + 31) // 32
-    raw = rng.integers(0, 1 << 32, size=(count, words), dtype=np.uint64)
-    out = []
-    mask = (1 << bits) - 1
-    for row in raw:
-        v = 0
-        for w in row:
-            v = (v << 32) | int(w)
-        out.append(v & mask)
-    return out
 
 
 def build_kwise_gaussian(n: int, k: int, method: str = "inverse_cdf",
@@ -522,36 +460,51 @@ def build_kwise_gaussian(n: int, k: int, method: str = "inverse_cdf",
 
 
 def dump_sample_space(space: SampleSpace, path) -> None:
+    # a coordinate is an optional "-", then "1", then its separator; the
+    # zero byte of a +1 coordinate is dropped
+    cells = np.zeros(space.points.shape + (3,), dtype=np.uint8)
+    cells[..., 0] = np.where(space.points < 0, ord("-"), 0)
+    cells[..., 1] = ord("1")
+    cells[..., 2] = ord(" ")
+    cells[:, -1, 2] = ord("\n")
+    flat = cells.ravel()
+    body = flat[flat != 0].tobytes().decode("ascii")
     weighted = space.weights is not None
+    if weighted:
+        body = "".join(f"{coords} {w.numerator}/{w.denominator}\n" for coords, w
+                       in zip(body.splitlines(), space.weights))
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{space.n} {space.k_claimed} {space.num_points} "
                  f"weighted:{int(weighted)}\n")
-        for idx in range(space.num_points):
-            coords = " ".join(str(int(v)) for v in space.points[idx])
-            if weighted:
-                w = space.weights[idx]
-                fh.write(f"{coords} {w.numerator}/{w.denominator}\n")
-            else:
-                fh.write(coords + "\n")
+        fh.write(body)
 
 
 def load_sample_space(path) -> SampleSpace:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 4 or not header[3].startswith("weighted:"):
-            raise FormatError("bad sample-space header")
-        n, k, num = int(header[0]), int(header[1]), int(header[2])
-        weighted = header[3] == "weighted:1"
-        points = np.empty((num, n), dtype=np.int8)
-        weights: Optional[list[Fraction]] = [] if weighted else None
-        for idx in range(num):
-            parts = fh.readline().split()
-            expect = n + (1 if weighted else 0)
-            if len(parts) != expect:
-                raise FormatError(f"point line {idx} has {len(parts)} fields, "
-                                  f"expected {expect}")
-            points[idx] = [int(v) for v in parts[:n]]
-            if weighted:
-                weights.append(Fraction(parts[n]))
-    return SampleSpace(n=n, k_claimed=k, points=points, weights=weights,
-                       method="file")
+    """Read a space file strictly: the header, then exactly num_points
+    lines of n coordinates, each 1 or -1, plus one exact weight when
+    weighted.  Any deviation raises FormatError."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            header = fh.readline().split()
+            lines = fh.read().split("\n")
+        n, k, num = (int(v) for v in header[:3])
+        weighted = header[3:] == ["weighted:1"]
+        if header[3:] not in (["weighted:0"], ["weighted:1"]) or min(n, num) < 1 or k < 0:
+            raise ValueError(f"bad header {header}")
+        if lines[-1] == "":
+            lines.pop()
+        if len(lines) != num:
+            raise ValueError(f"{len(lines)} point lines, header declares {num}")
+        table = np.loadtxt(lines, dtype=str if weighted else np.int8,
+                           comments=None, ndmin=2)
+        if table.shape != (num, n + weighted):
+            raise ValueError(f"point table of shape {table.shape}, "
+                             f"expected {(num, n + weighted)}")
+        points = table[:, :n].astype(np.int8)
+        if not np.all(np.abs(points) == 1):
+            raise ValueError("coordinates must be 1 or -1")
+        weights = [Fraction(w) for w in table[:, n]] if weighted else None
+        return SampleSpace(n=n, k_claimed=k, points=points, weights=weights,
+                           method="file")
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise FormatError(f"sample-space file {path}: {exc}") from None

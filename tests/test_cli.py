@@ -1,11 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from ptffool import gw, spaces
+from ptffool import config, gw, spaces
 from ptffool.cli import main
 from ptffool.poly import DegTwoPoly, dump_poly
 
@@ -182,3 +183,69 @@ def test_console_script_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "checks passed" in proc.stdout
+
+
+GOOD_SPACE = "2 1 2 weighted:0\n1 1\n-1 -1\n"
+
+
+@pytest.mark.parametrize("label,text", [
+    ("row after num_points", GOOD_SPACE + "1 -1\n"),
+    ("row missing", "2 1 3 weighted:0\n1 1\n-1 -1\n"),
+    ("blank row", "2 1 2 weighted:0\n1 1\n\n"),
+    ("short row", "2 1 2 weighted:0\n1\n-1 -1\n"),
+    ("long row", "2 1 2 weighted:0\n1 1 1\n-1 -1\n"),
+    ("coordinate 2", "2 1 2 weighted:0\n1 2\n-1 -1\n"),
+    ("coordinate 0", "2 1 2 weighted:0\n1 0\n-1 -1\n"),
+    ("non-integer coordinate", "2 1 2 weighted:0\n1 1.0\n-1 -1\n"),
+    ("word coordinate", "2 1 2 weighted:0\nx 1\n-1 -1\n"),
+    ("bad weight literal", "2 1 2 weighted:1\n1 1 x/2\n-1 -1 1/2\n"),
+    ("zero weight denominator", "2 1 2 weighted:1\n1 1 1/0\n-1 -1 1/2\n"),
+    ("weight missing", "2 1 2 weighted:1\n1 1\n-1 -1 1/2\n"),
+    ("weights not summing to 1", "2 1 2 weighted:1\n1 1 1/2\n-1 -1 1/3\n"),
+    ("negative weight", "2 1 2 weighted:1\n1 1 3/2\n-1 -1 -1/2\n"),
+    ("non-integer header", "2 one 2 weighted:0\n1 1\n-1 -1\n"),
+    ("header without weighted flag", "2 1 2\n1 1\n-1 -1\n"),
+    ("bad weighted flag", "2 1 2 weighted:2\n1 1\n-1 -1\n"),
+    ("no points", "2 1 0 weighted:0\n"),
+    ("empty file", ""),
+    ("not ascii", "2 1 2 weighted:0\n1 1\n-1 −1\n"),
+])
+def test_malformed_space_files_exit_64(tmp_path, label, text):
+    path = tmp_path / "bad.space"
+    path.write_bytes(text.encode("utf-8"))
+    assert main(["kwise", "verify", "--space", str(path)]) == 64, label
+
+
+def test_good_space_file_verifies(tmp_path):
+    path = tmp_path / "good.space"
+    path.write_text(GOOD_SPACE)
+    assert main(["kwise", "verify", "--space", str(path)]) == 0
+
+
+def test_fool_lp_repair_give_up_is_inconclusive(tmp_path, monkeypatch,
+                                                product_poly_file):
+    """When exact witness repair gives up, the certificates and the report
+    are still written and the verdict is inconclusive (exit 2)."""
+    monkeypatch.setattr(config, "WITNESS_REPAIR_MAX_SUPPORT", 1)
+    rep_path, wit, cert = (str(tmp_path / name) for name in ("r.json", "w.space", "c.json"))
+    assert main(["fool", "lp", "--poly", product_poly_file, "--k", "1",
+                 "--emit-witness", wit, "--emit-cert", cert,
+                 "--report", rep_path]) == 2
+    rep = _read_report(rep_path)
+    assert rep["witness_repair_failed"] is True
+    assert "witness repair" in rep["inconclusive_reason"]
+    assert "witness_file" not in rep and not (tmp_path / "w.space").exists()
+    certs = _read_report(cert)
+    assert certs["upper"]["verified"] and certs["lower"]["verified"]
+    assert main(["fool", "lp", "--poly", product_poly_file, "--k", "1"]) == 2
+
+
+def test_report_version_from_source_checkout(tmp_path, product_poly_file):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    rep_path = str(tmp_path / "r.json")
+    proc = subprocess.run([sys.executable, "-m", "ptffool.cli", "poly", "info",
+                           "--poly", product_poly_file, "--report", rep_path],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert _read_report(rep_path)["version"] == "ptffool-0.1.0"

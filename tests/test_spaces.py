@@ -1,13 +1,20 @@
+import hashlib
+
 import numpy as np
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from ptffool import spaces
+import kwise_reference
+from ptffool import cube, gf2, spaces
 from ptffool.cube import parity_column_for_points, subsets_up_to
 from ptffool.errors import (ConfigurationError, InvalidOrderError,
                             ResourceBudgetError)
 
+# sha256 of the file that dump_sample_space writes for
+# build_kwise_bernoulli(8, 3); any change to the construction, its seed
+# order or the text format moves it.
+SPACE_8_3_SHA256 = "d645ee57b7561670208d0d9896f6de00a12523e22f86ab25e172c8ed06426759"
 
 def test_vandermonde_bit_small_golden():
     sp = spaces.build_kwise_bernoulli(8, 2)
@@ -82,6 +89,16 @@ def test_sampling_stays_in_support():
     assert tuple(got) in rows
 
 
+def test_weighted_seed_sweep_reproduces_weights():
+    sp = spaces.SampleSpace(n=2, k_claimed=1,
+                            points=np.array([[1, 1], [1, -1], [-1, -1]], dtype=np.int8),
+                            weights=[Fraction(1, 6), Fraction(0), Fraction(5, 6)])
+    rows = [tuple(spaces.sample(sp, seed)) for seed in range(sp.num_seeds)]
+    assert rows == [(1, 1)] + [(-1, -1)] * 5
+    with pytest.raises(ValueError):
+        spaces.sample(sp, 6)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=10 ** 6))
 def test_any_low_order_parity_is_balanced(k, salt):
@@ -122,3 +139,147 @@ def test_gaussian_binomial_sum_variance():
     assert batch.shape == (4000, 4)
     v = float(np.mean(batch ** 2))
     assert abs(v - 1.0) < 0.08
+
+
+# --------------------------------------------------------------------------
+# generator matrices and FWHT verification against the per-seed and
+# per-subset oracles in kwise_reference
+
+
+def test_generator_points_match_per_seed_oracle():
+    """Every construction with n <= 16 and k <= 6, odd k included."""
+    rng = np.random.default_rng(3)
+    for n in range(1, 17):
+        for k in range(1, min(n, 6) + 1):
+            for cons in (spaces._vandermonde_construction(n, k),
+                         spaces._bch_construction(n, k)):
+                if cons.seed_bits <= 14:
+                    seeds = np.arange(cons.num_seeds, dtype=np.uint64)
+                    assert np.array_equal(cons.materialize(),
+                                          kwise_reference.points_for_seeds(cons, seeds))
+                for seed in [0, cons.num_seeds - 1, *rng.integers(cons.num_seeds, size=3)]:
+                    assert np.array_equal(cons.point_from_seed(int(seed)),
+                                          kwise_reference.point_from_seed(cons, int(seed)))
+
+
+@pytest.mark.parametrize("n,k,method,resolution,count", [
+    (3, 1, "inverse_cdf", None, 40),
+    (3, 2, "inverse_cdf", 256, 300),
+    (4, 5, "inverse_cdf", 1024, 77),
+    (3, 1600, "inverse_cdf", None, 30),
+    (4, 2, "binomial_sum", 16, 500),
+    (3, 3, "binomial_sum", 64, 200),
+])
+def test_gaussian_samples_bit_identical_to_horner_oracle(n, k, method, resolution, count):
+    gs = spaces.build_kwise_gaussian(n, k, method=method, resolution=resolution)
+    fast, slow = np.random.default_rng(k), np.random.default_rng(k)
+    for size in (count, 7, 0):          # the generator state must also agree
+        assert np.array_equal(gs.sample_batch(size, fast),
+                              kwise_reference.sample_batch(gs, size, slow))
+    for seed in (0, 5, gs.num_seeds - 1, gs.num_seeds // 7):
+        assert np.array_equal(gs.sample(seed), kwise_reference.sample(gs, seed))
+
+
+def test_gaussian_enumeration_matches_per_seed_samples():
+    gs = spaces.build_kwise_gaussian(2, 2, resolution=256)
+    zs = gs.enumerate_samples()
+    for seed in (0, 1, 777, gs.num_seeds - 1):
+        assert np.array_equal(zs[seed], kwise_reference.sample(gs, seed))
+
+
+@st.composite
+def small_spaces(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    rows = draw(st.integers(min_value=1, max_value=24))
+    bits = draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                         min_size=rows, max_size=rows))
+    points = np.where(np.array(bits), -1, 1).astype(np.int8)
+    weights = None
+    if draw(st.booleans()):
+        raw = draw(st.lists(st.integers(min_value=0, max_value=9),
+                            min_size=rows, max_size=rows).filter(any))
+        weights = [Fraction(r, sum(raw)) for r in raw]
+    order = draw(st.integers(min_value=0, max_value=n + 1))
+    return spaces.SampleSpace(n=n, k_claimed=min(n, 3), points=points,
+                              weights=weights), order
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_spaces(), st.booleans())
+def test_verify_matches_per_subset_oracle(case, fallback):
+    space, order = case
+    budget = 1 if fallback else spaces.config.SUPPORT_BUDGET
+    saved, spaces.config.SUPPORT_BUDGET = spaces.config.SUPPORT_BUDGET, budget
+    try:
+        rep = spaces.verify_kwise_exact(space, order)
+    finally:
+        spaces.config.SUPPORT_BUDGET = saved
+    assert rep.order == order
+    assert (rep.passed, rep.subsets_checked, rep.worst_subset, rep.worst_bias,
+            rep.failures) == kwise_reference.verify_per_subset(space, order)
+
+
+def test_verify_weighted_huge_denominator_stays_exact():
+    """Numerators beyond int64 go through Python ints, not floats."""
+    big = 2 ** 70
+    space = spaces.SampleSpace(n=2, k_claimed=1,
+                               points=np.array([[1, 1], [-1, -1]], dtype=np.int8),
+                               weights=[Fraction(1, 2) + Fraction(1, big),
+                                        Fraction(1, 2) - Fraction(1, big)])
+    rep = spaces.verify_kwise_exact(space, 2)
+    assert rep.failures == [((0,), Fraction(2, big)), ((1,), Fraction(2, big)),
+                            ((0, 1), Fraction(1))]
+    assert rep.failures == kwise_reference.verify_per_subset(space, 2)[4]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=8), st.data())
+def test_fwht_is_its_own_inverse_up_to_size(n, data):
+    values = np.array(data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6),
+                                         min_size=1 << n, max_size=1 << n)),
+                      dtype=np.int64)
+    assert np.array_equal(cube.fwht(cube.fwht(values)), values << n)
+    exact = cube.fwht(values.astype(object) * 10 ** 30)
+    assert list(exact) == [int(v) * 10 ** 30 for v in cube.fwht(values)]
+
+
+def test_fwht_entries_are_parity_sums():
+    values = np.arange(1, 17, dtype=np.int64)
+    spectrum = cube.fwht(values)
+    for subset in subsets_up_to(4, 4):
+        chi = parity_column_for_points(cube.all_points(4), subset)
+        assert spectrum[cube.subset_mask(subset)] == int(values @ chi)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=24), st.data())
+def test_gf_mul_vec_matches_scalar_field_product(m, data):
+    elems = st.integers(min_value=0, max_value=(1 << m) - 1)
+    a = data.draw(st.lists(elems, min_size=1, max_size=8))
+    b = data.draw(st.lists(elems, min_size=len(a), max_size=len(a)))
+    got = gf2.gf_mul_vec(np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64), m)
+    assert got.tolist() == [kwise_reference.gf_mul(x, y, m) for x, y in zip(a, b)]
+    assert gf2.gf_mul_vec(np.array(a, dtype=np.uint64), b[0], m).tolist() == \
+        [kwise_reference.gf_mul(x, b[0], m) for x in a]
+
+
+# --------------------------------------------------------------------------
+# space files
+
+
+def test_space_file_bytes_are_pinned(tmp_path):
+    path = tmp_path / "s.space"
+    spaces.dump_sample_space(spaces.build_kwise_bernoulli(8, 3), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SPACE_8_3_SHA256
+
+
+def test_weighted_space_file_round_trip(tmp_path):
+    space = spaces.SampleSpace(n=3, k_claimed=1,
+                               points=np.array([[1, -1, 1], [-1, 1, -1]], dtype=np.int8),
+                               weights=[Fraction(1, 3), Fraction(2, 3)])
+    path = tmp_path / "w.space"
+    spaces.dump_sample_space(space, path)
+    assert path.read_text() == "3 1 2 weighted:1\n1 -1 1 1/3\n-1 1 -1 2/3\n"
+    back = spaces.load_sample_space(path)
+    assert np.array_equal(back.points, space.points)
+    assert back.weights == space.weights
