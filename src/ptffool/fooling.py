@@ -410,7 +410,7 @@ def worst_case_lp(p: DegTwoPoly, k: int, sense: str = "both",
             if witness is None:
                 report.witness_repair_failed = True
             else:
-                check = verify_kwise_exact(witness, k) if k >= 1 else None
+                check = verify_kwise_exact(witness, k)
                 if side.sense == "max":
                     report.witness_max = witness
                     report.witness_max_check = check

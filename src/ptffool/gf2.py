@@ -94,9 +94,8 @@ def gf_elements(count: int, m: int, *, nonzero: bool = False) -> list[int]:
     _check_degree(m)
     start = 1 if nonzero else 0
     if start + count > (1 << m):
-        raise ConfigurationError(
-            f"GF(2^{m}) has only {(1 << m) - start} usable elements, "
-            f"need {count}")
+        raise ConfigurationError(f"GF(2^{m}) has only {(1 << m) - start} usable "
+                                 f"elements, need {count}")
     return list(range(start, start + count))
 
 

@@ -19,9 +19,9 @@ bits @ G mod 2.
 
 Verification is exact: the biases of all parities of order up to k are
 integers over a common denominator, from one integer Walsh-Hadamard
-transform of the point histogram, never floating point, because k-wise
-independence is an exact property and an approximate check would mask
-construction bugs.
+transform of the point histogram or, when that is dearer, parity by
+parity; never floating point, because k-wise independence is exact and
+an approximate check would mask construction bugs.
 
 Gaussian spaces come in two flavors.  ``inverse_cdf`` feeds exactly
 k-wise independent uniform levels (the low log2 q bits of the field
@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -132,10 +131,8 @@ def _vandermonde_construction(n: int, k: int) -> BernoulliConstruction:
 def _bch_construction(n: int, k: int) -> BernoulliConstruction:
     m = max(1, math.ceil(math.log2(n + 1)))
     points = tuple(gf_elements(n, m, nonzero=True))
-    t = k // 2
-    seed_bits = t * m + (k % 2)
     return BernoulliConstruction(n=n, k=k, method="bch_parity", m=m,
-                                 seed_bits=seed_bits, eval_points=points)
+                                 seed_bits=(k // 2) * m + k % 2, eval_points=points)
 
 
 # --------------------------------------------------------------------------
@@ -174,8 +171,7 @@ class SampleSpace:
         """Size of the integer seed range accepted by sample()."""
         if self.weights is None:
             return self.num_points
-        denom = math.lcm(*(w.denominator for w in self.weights))
-        return denom
+        return math.lcm(*(w.denominator for w in self.weights))
 
     def validate(self) -> None:
         if not np.all(np.abs(self.points) == 1):
@@ -232,7 +228,8 @@ def sample(space, seed: int) -> np.ndarray:
     weights, denom = _integer_weights(space)
     if not 0 <= seed < denom:
         raise ValueError(f"seed {seed} out of range [0, {denom})")
-    return space.points[np.searchsorted(np.cumsum(weights), seed, side="right")].copy()
+    row = seed if space.weights is None else np.searchsorted(np.cumsum(weights), seed, "right")
+    return space.points[row].copy()
 
 
 # --------------------------------------------------------------------------
@@ -254,12 +251,13 @@ class VerificationReport:
                 f"parities; worst |bias| {self.worst_bias} at {self.worst_subset}")
 
 
-def _integer_weights(space: SampleSpace) -> tuple[np.ndarray, int]:
+def _integer_weights(space: SampleSpace) -> tuple[Optional[np.ndarray], int]:
     """Row weights as integer numerators over their common denominator.
     They are nonnegative and sum to it, so every parity sum fits int64
-    when the denominator does; Python ints (an object array) otherwise."""
+    when the denominator does; Python ints (an object array) otherwise.
+    None for a uniform space, whose parity sums count rows."""
     if space.weights is None:
-        return np.ones(space.num_points, dtype=np.int64), space.num_points
+        return None, space.num_points
     denom = space.num_seeds
     nums = [w.numerator * (denom // w.denominator) for w in space.weights]
     return np.array(nums, dtype=np.int64 if denom < 1 << 63 else object), denom
@@ -269,41 +267,47 @@ def verify_kwise_exact(space: SampleSpace, k: Optional[int] = None) -> Verificat
     """Exact zero-bias check of every parity of order 1..k.
 
     All arithmetic is integer or rational; a space passes iff every bias
-    is exactly zero.  When 2^n fits ``config.SUPPORT_BUDGET`` all biases
-    come from one integer Walsh-Hadamard transform of the weighted point
-    histogram, otherwise from one parity at a time.  Failures are listed
-    by size, then lexicographically; the report carries the first subset
-    of maximal bias so a failure is immediately actionable.
+    is exactly zero.  Biases come from one integer Walsh-Hadamard transform
+    of the point histogram when 2^n fits ``config.SUPPORT_BUDGET`` and that
+    is cheaper, else one parity at a time.  Failures are listed by size,
+    then lexicographically; the report carries the first subset of maximal
+    bias so a failure is immediately actionable.
     """
     order = space.k_claimed if k is None else k
     n = space.n
     weights, total = _integer_weights(space)
     neg = space.points < 0
-    biased = []                     # (subset, integer parity sum), in order
-    if (1 << n) <= config.SUPPORT_BUDGET:
+    checked = sum(math.comb(n, size) for size in range(1, min(order, n) + 1))
+    biased = []                     # (subset, integer parity sum)
+    # one parity costs about as much as 512 + rows/32 butterflies (measured)
+    if (1 << n) <= config.SUPPORT_BUDGET and n << n <= checked * (len(neg) // 32 + 512):
         packed = np.packbits(neg, axis=1, bitorder="little").astype(np.int64)
         index = packed @ (np.int64(1) << 8 * np.arange(packed.shape[1], dtype=np.int64))
-        hist = np.zeros(1 << n, dtype=weights.dtype)
-        np.add.at(hist, index, weights)
+        hist = np.zeros(1 << n, dtype=np.int64 if weights is None else weights.dtype)
+        np.add.at(hist, index, 1 if weights is None else weights)
         spectrum = fwht(hist)
         size = popcount_u64(np.arange(1 << n, dtype=np.uint64))
         masks = np.flatnonzero((spectrum != 0) & (size >= 1) & (size <= order))
-        biased = sorted(((tuple(i for i in range(n) if s >> i & 1), int(spectrum[s]))
-                         for s in masks.tolist()), key=lambda e: (len(e[0]), e[0]))
+        biased = [(tuple(i for i in range(n) if s >> i & 1), int(spectrum[s]))
+                  for s in masks.tolist()]
     else:
-        for size in range(1, order + 1):
-            for subset in combinations(range(n), size):
-                odd = np.bitwise_xor.reduce(neg[:, subset], axis=1)
-                value = total - 2 * int(weights[odd].sum())
-                if value:
-                    biased.append((subset, value))
+        cols = np.ascontiguousarray(neg.T)
+        def walk(subset, parity):   # depth first: the parity of subset + (i,) is parity ^ x_i
+            if len(subset) >= order:
+                return
+            for i in range(subset[-1] + 1 if subset else 0, n):
+                grown, cur = subset + (i,), parity ^ cols[i]
+                odd = int(np.count_nonzero(cur) if weights is None else np.dot(cur, weights))
+                if total != 2 * odd:
+                    biased.append((grown, total - 2 * odd))
+                walk(grown, cur)
+
+        walk((), np.zeros(len(neg), dtype=bool))
+    biased.sort(key=lambda e: (len(e[0]), e[0]))
 
     failures = [(subset, Fraction(value, total)) for subset, value in biased]
-    worst_subset, worst_bias = None, Fraction(0)
-    for subset, bias in failures:
-        if abs(bias) > abs(worst_bias):
-            worst_bias, worst_subset = bias, subset
-    checked = sum(math.comb(n, size) for size in range(1, min(order, n) + 1))
+    worst_subset, worst_bias = max(failures, key=lambda f: abs(f[1]),
+                                   default=(None, Fraction(0)))
     return VerificationReport(passed=not failures, order=order,
                               subsets_checked=checked,
                               worst_subset=worst_subset,
@@ -354,10 +358,8 @@ class GaussianSpace:
         rows = bits.shape[0]
         if self.method == "inverse_cdf":
             width = self.resolution.bit_length() - 1
-            levels = np.zeros((rows, self.n), dtype=np.int64)
-            for bit in range(width):        # column i*width + bit: that bit of level i
-                levels |= bits[:, bit::width].astype(np.int64) << bit
-            return ndtri((levels.astype(np.float64) + 0.5) / self.resolution)
+            levels = bits.reshape(rows, self.n, width) @ (1 << np.arange(width))
+            return ndtri((levels + 0.5) / self.resolution)
         # each ±1 sum is exact in float64, so counting set bits is identical
         N = self.resolution
         ones = bits.reshape(rows, self.n, N).sum(axis=2, dtype=np.int64)

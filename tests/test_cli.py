@@ -108,6 +108,15 @@ def test_fool_lp_with_emissions(tmp_path, product_poly_file):
     assert certs["upper"]["verified"] and certs["lower"]["verified"]
 
 
+def test_fool_lp_k0_witness_is_vacuously_verified(tmp_path, product_poly_file):
+    """Order 0 constrains no parity, so the emitted witness passes its check."""
+    rep_path, wit = str(tmp_path / "r.json"), str(tmp_path / "w.space")
+    assert main(["fool", "lp", "--poly", product_poly_file, "--k", "0",
+                 "--emit-witness", wit, "--report", rep_path]) == 0
+    rep = _read_report(rep_path)
+    assert rep["witness_verified"] is True and rep["witness_file"] == wit
+
+
 def test_fool_lp_k2_collapses(tmp_path, product_poly_file):
     rep_path = str(tmp_path / "r.json")
     assert main(["fool", "lp", "--poly", product_poly_file, "--k", "2",

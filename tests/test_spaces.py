@@ -87,6 +87,9 @@ def test_sampling_stays_in_support():
     rows = {tuple(r) for r in sp.points}
     got = spaces.sample(sp, seed=5)
     assert tuple(got) in rows
+    assert np.array_equal(got, sp.points[5])
+    with pytest.raises(ValueError):
+        spaces.sample(sp, sp.num_points)
 
 
 def test_weighted_seed_sweep_reproduces_weights():
@@ -219,7 +222,41 @@ def test_verify_matches_per_subset_oracle(case, fallback):
             rep.failures) == kwise_reference.verify_per_subset(space, order)
 
 
-def test_verify_weighted_huge_denominator_stays_exact():
+def _no_fwht(values):
+    raise AssertionError("verification took the Walsh-Hadamard path")
+
+
+def test_verify_small_support_skips_the_full_transform(monkeypatch):
+    """32 points at n = 24: 300 parities over 32 rows, not a 2^24 transform."""
+    sp = spaces.build_kwise_bernoulli(24, 2, "bch_parity")
+    monkeypatch.setattr(spaces, "fwht", _no_fwht)
+    rep = spaces.verify_kwise_exact(sp)
+    assert (sp.num_points, rep.passed, rep.subsets_checked) == (32, True, 300)
+    assert not spaces.verify_kwise_exact(sp, 3).passed
+
+
+def test_verify_large_support_uses_the_transform(monkeypatch):
+    sp = spaces.build_kwise_bernoulli(12, 4)
+    calls = []
+    monkeypatch.setattr(spaces, "fwht", lambda v: calls.append(1) or cube.fwht(v))
+    assert spaces.verify_kwise_exact(sp).passed and calls == [1]
+
+
+def test_verify_wide_space_per_parity_loop():
+    """n = 32 > log2 of the budget: the per-parity loop, uniform and weighted."""
+    sp = spaces.build_kwise_bernoulli(32, 3, "bch_parity")
+    rep = spaces.verify_kwise_exact(sp)
+    assert (rep.passed, rep.subsets_checked) == (True, 32 + 496 + 4960)
+    weighted = spaces.SampleSpace(n=32, k_claimed=3, points=sp.points,
+                                  weights=[Fraction(1, sp.num_points)] * sp.num_points)
+    assert spaces.verify_kwise_exact(weighted).passed
+    skewed = spaces.SampleSpace(n=32, k_claimed=3, points=sp.points[:3],
+                                weights=[Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
+    rep = spaces.verify_kwise_exact(skewed, 2)
+    assert (rep.passed, rep.failures) == kwise_reference.verify_per_subset(skewed, 2)[::4]
+
+
+def test_verify_weighted_huge_denominator_stays_exact(monkeypatch):
     """Numerators beyond int64 go through Python ints, not floats."""
     big = 2 ** 70
     space = spaces.SampleSpace(n=2, k_claimed=1,
@@ -230,6 +267,8 @@ def test_verify_weighted_huge_denominator_stays_exact():
     assert rep.failures == [((0,), Fraction(2, big)), ((1,), Fraction(2, big)),
                             ((0, 1), Fraction(1))]
     assert rep.failures == kwise_reference.verify_per_subset(space, 2)[4]
+    monkeypatch.setattr(spaces.config, "SUPPORT_BUDGET", 1)    # parity by parity
+    assert spaces.verify_kwise_exact(space, 2).failures == rep.failures
 
 
 @settings(max_examples=30, deadline=None)
