@@ -471,9 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ptf-fool",
         description="Exact workbench for bounded-independence fooling of "
-                    "degree-2 threshold functions.",
-        epilog="PTF_FOOL_THREADS caps worker threads for parallel sweeps; "
-               "results are identical at any setting.")
+                    "degree-2 threshold functions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     kwise = sub.add_parser("kwise", help="build and verify sample spaces")

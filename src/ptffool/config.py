@@ -1,15 +1,16 @@
-"""Central namespace for tolerances, budgets, and tunable defaults.
+"""Central namespace for tolerances, budgets, and defaults.
 
 Numeric literals that govern pass/fail decisions live here and nowhere
 else.  Each constant documents what it protects.  The few constants that
-come from proofs rather than engineering judgment say so; everything else
-is a defensible default that callers may override through function
-arguments or :class:`RunConfig`.
+come from proofs rather than engineering judgment say so; the rest are
+defensible defaults, some of which functions take as default arguments.
+:class:`RunConfig` is the envelope a command-line report carries (and
+hashes) so a later run can replay it.  Nothing here reads the
+environment.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, asdict
 
 
@@ -29,7 +30,7 @@ ENUM_MAX_N = 20
 #: Largest moment order accepted by the exact enumeration paths.
 MOMENT_MAX_K = 16
 
-#: Largest matrix side accepted by the Jacobi eigensolver.
+#: Largest matrix side accepted by the eigensolver.
 EIGEN_MAX_N = 2048
 
 #: Largest support size for which the exact rational repair of an LP
@@ -39,17 +40,6 @@ WITNESS_REPAIR_MAX_SUPPORT = 512
 
 # --------------------------------------------------------------------------
 # eigensolver and spectral decomposition
-
-#: Off-diagonal Frobenius mass, relative to the input Frobenius norm, at
-#: which the cyclic Jacobi iteration declares convergence.
-EIGEN_OFFDIAG_REL = 1e-12
-
-#: Sweep budget for Jacobi before raising ConvergenceError.
-EIGEN_MAX_SWEEPS = 40
-
-#: Absolute reconstruction and orthogonality tolerance for an accepted
-#: eigendecomposition of a unit-scale matrix.
-EIGEN_CHECK_TOL = 1e-10
 
 #: Eigenvalues within this absolute distance of the split threshold are
 #: routed to the small-eigenvalue bucket so the split is stable.
@@ -85,10 +75,6 @@ WITNESS_SUPPORT_TOL = 1e-9
 
 #: Relative tolerance target for quadrature-based integral checks.
 QUAD_TOL = 1e-3
-
-#: The truncation radius is grown until the analytic tail envelope
-#: contributes less than this fraction of the active tolerance.
-TAIL_FRACTION = 0.1
 
 #: Switch to the Taylor series for the closed-form transform profile when
 #: the radius falls below this value.
@@ -139,25 +125,6 @@ EMBED_UNIT_TOL = 1e-8
 #: a base constant of 64 which one power-mean step doubles.
 EIGENBOUND_CONST = 128.0
 
-#: Uncalibrated default for the independence-vs-accuracy trade-off
-#: constant in the fooling heuristics; exposed, never asserted against.
-KWISE_FOOLS_B = 4.0
-
-
-def worker_count() -> int:
-    """Worker cap for the embarrassingly parallel sweeps.
-
-    Reads ``PTF_FOOL_THREADS``; defaults to 1 (fully sequential).  All
-    parallel reductions in this package merge in task-index order, so the
-    value changes wall time only, never results.
-    """
-    raw = os.environ.get("PTF_FOOL_THREADS", "1")
-    try:
-        v = int(raw)
-    except ValueError:
-        return 1
-    return max(1, v)
-
 
 @dataclass
 class RunConfig:
@@ -180,8 +147,3 @@ class RunConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        kwargs = {k: v for k, v in d.items() if k in known}
-        return cls(**kwargs)

@@ -4,7 +4,8 @@ Row order is fixed once and shared by every consumer: row r encodes x_i
 = +1 when bit i of r is clear and -1 when it is set.  That matches the
 bitmask layout the exact verifier uses, so parity columns can be built
 straight from popcounts and ``fwht`` returns every parity sum of a
-function on the cube at once.
+function on the cube at once (and, since chi_S(x) = chi_x(S), a function's
+values from its Fourier coefficients).
 
 Two evaluation paths exist for degree-2 polynomials.  The blocked path
 is the production one (bit extraction plus matrix products on slabs of
@@ -120,24 +121,31 @@ def parity_column(n: int, subset: Sequence[int]) -> np.ndarray:
 
 
 def fwht(values: np.ndarray) -> np.ndarray:
-    """Walsh-Hadamard transform in row order: out[S] = sum_x values[x] chi_S(x).
+    """Walsh-Hadamard transform of a copy of ``values``: see :func:`fwht_inplace`."""
+    return fwht_inplace(np.array(values, copy=True))
+
+
+def fwht_inplace(values: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform in row order, overwriting and returning
+    ``values``: out[S] = sum_x values[x] chi_S(x).
 
     Unnormalized, so applying it twice multiplies by 2^n.  The butterflies
-    only add and subtract, so int64 input stays exact while the sum of
-    |values| fits, and object arrays of Python ints are always exact.
+    only add, subtract and double, with no temporary: int64 input stays
+    exact while the sum of |values| fits (an intermediate -2b may wrap, but
+    wrapping arithmetic is exact modulo 2^64 and every result fits), and
+    object arrays of Python ints are always exact.
     """
-    out = np.array(values, copy=True)
-    size = out.shape[0]
+    size = values.shape[0]
     if size & (size - 1):
         raise ValueError(f"length {size} is not a power of two")
     half = 1
     while half < size:
-        pairs = out.reshape(-1, 2, half)
-        low = pairs[:, 0].copy()
-        pairs[:, 0] += pairs[:, 1]
-        pairs[:, 1] = low - pairs[:, 1]
+        pairs = values.reshape(-1, 2, half)
+        pairs[:, 0] += pairs[:, 1]          # a + b
+        pairs[:, 1] *= -2
+        pairs[:, 1] += pairs[:, 0]          # a + b - 2b = a - b
         half *= 2
-    return out
+    return values
 
 
 def parity_column_for_points(points: np.ndarray,

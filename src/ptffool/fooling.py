@@ -58,13 +58,7 @@ def exact_sgn_expectation(p: DegTwoPoly,
     if space.n != p.n:
         raise ConfigurationError("space dimension does not match polynomial")
     signs = sgn_vec(p.evaluate_many(space.points.astype(np.float64)))
-    if space.weights is None:
-        return Fraction(int(np.sum(signs, dtype=np.int64)), signs.size)
-    total = Fraction(0)
-    for idx, w in enumerate(space.weights):
-        if w:
-            total += w * int(signs[idx])
-    return total
+    return 2 * space.probability(signs > 0) - 1
 
 
 def indicator_expectation(p: DegTwoPoly,
@@ -524,12 +518,7 @@ def anticoncentration_probe(p: DegTwoPoly, eps_prime: float, t: float,
     q = _normalized(p)
     if isinstance(space, SampleSpace):
         vals = q.evaluate_many(space.points.astype(np.float64))
-        hit = np.abs(vals - t) < eps_prime
-        if space.weights is None:
-            prob = Fraction(int(np.count_nonzero(hit)), vals.size)
-        else:
-            prob = sum((w for idx, w in enumerate(space.weights) if hit[idx]),
-                       Fraction(0))
+        prob = space.probability(np.abs(vals - t) < eps_prime)
         return ProbeReport(probability=float(prob), exact=prob, mode="space",
                            eps_prime=eps_prime, t=t)
     if space != "gaussian-mc":

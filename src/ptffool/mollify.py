@@ -8,15 +8,11 @@ B_c(x) = c^d B(cx) concentrates it at scale 1/c.  Convolving an
 indicator with B_c yields a smooth surrogate whose derivative norms and
 approximation error this module computes and checks.
 
-Evaluation paths, deliberately redundant:
-
-* d = 1 has the elementary closed form for g, with a short Taylor
-  series below |t| = 1e-2 where (sin t - t cos t)/t^3 cancels.
-* d >= 2 integrates the Bessel kernel over the ball radius (the
-  primary path for ``bhat_value``).
-* All d also admit a one-term Bessel closed form, used as the
-  cross-check oracle and as the workhorse inside integrals, where it
-  is far cheaper than nested quadrature.
+The transform has the one-term Bessel closed form
+g(t) = 2 sqrt(C_d) J_{d/2+1}(|t|)/|t|^{d/2+1} for every d, with a short
+Taylor series below |t| = 1e-2 where the quotient cancels.  It is the
+evaluator every integral here uses; the unit integral and the
+squared-bump moments (closed form against quadrature) check it.
 
 Derivatives of B are analytic, never finite differences: a radial
 function's partials expand into monomial-times-radial terms where each
@@ -27,10 +23,10 @@ derivatives follow by the product rule on g*g.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import gamma as _gamma
@@ -50,15 +46,6 @@ def bump_norm_const(d: int) -> float:
         raise ConfigurationError("dimension must be at least 1")
     return float(_gamma(d / 2.0) * d * (d + 2) * (d + 4)
                  / (16.0 * math.pi ** (d / 2.0)))
-
-
-def bump_value(d: int, x) -> float:
-    """b(x) = sqrt(C_d)(1 - |x|^2) inside the unit ball, 0 outside."""
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    r2 = float(np.dot(x, x))
-    if r2 >= 1.0:
-        return 0.0
-    return math.sqrt(bump_norm_const(d)) * (1.0 - r2)
 
 
 def sphere_surface(d: int) -> float:
@@ -105,8 +92,7 @@ def _bhat_series(d: int, rho: np.ndarray) -> np.ndarray:
 def bhat_closed_form(d: int, t) -> np.ndarray:
     """g(|t|) = 2 sqrt(C_d) J_{d/2+1}(|t|) / |t|^{d/2+1}, any d.
 
-    Series fallback near zero.  This is the oracle the quadrature path
-    is checked against, and the evaluator every integral here uses.
+    Series fallback near zero; the evaluator every integral here uses.
     """
     rho = np.abs(np.atleast_1d(np.asarray(t, dtype=np.float64)))
     nu = d / 2.0 + 1.0
@@ -120,46 +106,6 @@ def bhat_closed_form(d: int, t) -> np.ndarray:
         out[big] = (2.0 * math.sqrt(bump_norm_const(d))
                     * _besselj(nu, r) / r ** nu)
     return out
-
-
-def _bhat_quadrature(d: int, rho: np.ndarray) -> np.ndarray:
-    # Radial Bessel-kernel integral over the ball radius:
-    # g(rho) = sqrt(C_d) rho^{1-d/2} int_0^1 (1-r^2) J_{d/2-1}(rho r) r^{d/2} dr
-    nu = d / 2.0 - 1.0
-    npts = 96
-    x, w = _gl_nodes(npts)
-    r = 0.5 * (x + 1.0)
-    wr = 0.5 * w
-    kern = (1.0 - r ** 2) * r ** (d / 2.0)
-    out = np.empty_like(rho)
-    for i, p in enumerate(rho):
-        vals = _besselj(nu, p * r) * kern
-        out[i] = (math.sqrt(bump_norm_const(d)) * p ** (1.0 - d / 2.0)
-                  * float(np.dot(wr, vals)))
-    return out
-
-
-def bhat_value(d: int, t) -> float:
-    """The transform of the bump at t (radial; t may be scalar or vector).
-
-    d = 1 uses the elementary closed form 4 sqrt(C_1/(2 pi))
-    (sin t - t cos t)/t^3; d in {2,3,4} integrates the Bessel kernel
-    radially.  Both run the series below |t| = 1e-2.
-    """
-    if d > 4:
-        raise ConfigurationError("transform evaluation is supported for d <= 4")
-    tv = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    rho = float(np.linalg.norm(tv)) if tv.ndim == 1 and tv.size == d \
-        else float(np.abs(tv[0]))
-    if d == 1:
-        if rho < _SERIES_CUTOFF:
-            return float(_bhat_series(1, np.array([rho]))[0])
-        c1 = bump_norm_const(1)
-        return float(math.sqrt(c1 / (2.0 * math.pi)) * 4.0
-                     * (math.sin(rho) - rho * math.cos(rho)) / rho ** 3)
-    if rho < _SERIES_CUTOFF:
-        return float(_bhat_series(d, np.array([rho]))[0])
-    return float(_bhat_quadrature(d, np.array([rho]))[0])
 
 
 def kernel_value(d: int, x) -> float:
@@ -201,51 +147,24 @@ class UnitIntegralReport:
     passed: bool
 
 
-def check_unit_integral(d: int, c: float = 1.0,
-                        full_grid: bool = False) -> UnitIntegralReport:
+def check_unit_integral(d: int, c: float = 1.0) -> UnitIntegralReport:
     """Integral of B_c over R^d, which should be 1 (pass at 1e-3).
 
     Scale drops out exactly under substitution, so c only relabels the
-    grid.  The radial path works for d <= 4; full_grid uses tensor
-    Gauss-Legendre over a box (d <= 3) as the independent slow path.
+    grid.  Radial composite Gauss-Legendre quadrature, for d <= 4.
     """
     if c <= 0:
         raise ConfigurationError("scale must be positive")
-    if full_grid:
-        if d > 3:
-            raise ConfigurationError("full-grid quadrature limited to d <= 3")
-        L = 30.0
-        per_panel = 8
-        edges = np.arange(0.0, L, 1.0)
-        x, w = _gl_nodes(per_panel)
-        nodes = np.concatenate([0.5 * (a + min(a + 1.0, L))
-                                + 0.5 * (min(a + 1.0, L) - a) * x
-                                for a in edges])
-        wts = np.concatenate([0.5 * (min(a + 1.0, L) - a) * w for a in edges])
-        grids = np.meshgrid(*([nodes] * d), indexing="ij")
-        rho = np.sqrt(sum(g ** 2 for g in grids))
-        wprod = np.ones_like(rho)
-        for axis in range(d):
-            shape = [1] * d
-            shape[axis] = wts.size
-            wprod = wprod * wts.reshape(shape)
-        value = (2.0 ** d) * float(np.sum(_kernel_radial(d, rho.ravel())
-                                          * wprod.ravel()))
-        tail = _radial_tail_mass(d, L)
-        method = "full_grid"
-    else:
-        if d > 4:
-            raise ConfigurationError("radial quadrature limited to d <= 4")
-        L = 200.0
-        surf = sphere_surface(d)
-        value = surf * _panel_quad(
-            lambda r: _kernel_radial(d, r) * r ** (d - 1), 0.0, L, 1.0, 12)
-        tail = _radial_tail_mass(d, L)
-        method = "radial"
+    if d > 4:
+        raise ConfigurationError("radial quadrature limited to d <= 4")
+    L = 200.0
+    surf = sphere_surface(d)
+    value = surf * _panel_quad(
+        lambda r: _kernel_radial(d, r) * r ** (d - 1), 0.0, L, 1.0, 12)
     err = abs(value - 1.0)
     return UnitIntegralReport(d=d, c=c, value=value, abs_error=err,
-                              tail_estimate=tail, method=method,
-                              passed=err <= 1e-3)
+                              tail_estimate=_radial_tail_mass(d, L),
+                              method="radial", passed=err <= 1e-3)
 
 
 # --------------------------------------------------------------------------
@@ -548,9 +467,6 @@ class HalfLine:
     def indicator(self, y: np.ndarray) -> float:
         return 1.0 if float(np.atleast_1d(y)[0]) >= self.theta else 0.0
 
-    def boundary_distance(self, x) -> float:
-        return abs(float(np.atleast_1d(x)[0]) - self.theta)
-
 
 @dataclass(frozen=True)
 class Box:
@@ -573,15 +489,6 @@ class Box:
         inside = all(l <= v <= h for v, l, h in zip(y, self.lo, self.hi))
         return 1.0 if inside else 0.0
 
-    def boundary_distance(self, x) -> float:
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        if self.indicator(x):
-            return min(min(v - l, h - v)
-                       for v, l, h in zip(x, self.lo, self.hi))
-        gaps = np.array([max(l - v, 0.0, v - h)
-                         for v, l, h in zip(x, self.lo, self.hi)])
-        return float(np.linalg.norm(gaps))
-
 
 @dataclass(frozen=True)
 class Quadrant:
@@ -593,13 +500,6 @@ class Quadrant:
     def indicator(self, y) -> float:
         y = np.atleast_1d(np.asarray(y, dtype=np.float64))
         return 1.0 if bool(np.all(y >= np.asarray(self.corner))) else 0.0
-
-    def boundary_distance(self, x) -> float:
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        gaps = x - np.asarray(self.corner)
-        if np.all(gaps >= 0.0):
-            return float(np.min(gaps))
-        return float(np.linalg.norm(np.minimum(gaps, 0.0)))
 
 
 _CDF_CAP = 80.0

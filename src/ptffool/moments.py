@@ -1,9 +1,10 @@
 """Moment computation over the cube and the inequality checks built on it.
 
 Exhaustive moments run over the full cube (n capped at 20) with
-compensated summation; an independent exact path expands powers of the
-Fourier representation by XOR convolution in rational arithmetic, which
-is feasible for small n and is what the cross-check tests lean on.
+compensated summation; an independent exact path (n <= 12) takes the
+integer Fourier coefficients over their common dyadic denominator
+through one Walsh-Hadamard transform and sums powers in Python ints,
+which is what the cross-check tests lean on.
 
 The validators mirror the inequalities the library depends on: the
 k-th-moment eigenvalue bound for trace-centered quadratic forms (with
@@ -67,45 +68,27 @@ def _chunked_mean(values: np.ndarray, transform) -> float:
     return math.fsum(partials) / total
 
 
-def fourier_dict_exact(p: DegTwoPoly) -> dict[int, Fraction]:
-    """Fourier coefficients as exact fractions keyed by subset bitmask.
-
-    float -> Fraction conversion is exact (binary floats are dyadic),
-    so this loses nothing relative to the stored polynomial.
-    """
-    out: dict[int, Fraction] = {}
-    for subset, v in p.fourier().items():
-        out[cube.subset_mask(subset)] = Fraction(float(v))
-    return out
-
-
 def moment_fourier_exact(p: DegTwoPoly, k: int) -> Fraction:
-    """E[p(x)^k] in exact rational arithmetic via XOR convolution.
+    """E[p(x)^k] in exact arithmetic, from the Fourier side.
 
-    chi_S * chi_T = chi_{S xor T}, so multiplying Fourier expansions is
-    a convolution over bitmasks and the mean is the empty-mask
-    coefficient.  Cost grows with 2^n; capped at small n where it
-    serves as the independent oracle for the enumeration path.
+    Binary floats are dyadic, so over their common denominator D the
+    Fourier coefficients are integers c_S.  One integer Walsh-Hadamard
+    transform of c gives D*p(x) at every cube point, and the moment is
+    sum (D*p(x))^k / (2^n D^k) in Python ints.  None of it shares
+    arithmetic with the floating enumeration it cross-checks.
     """
     if p.n > _FOURIER_EXACT_MAX_N:
         raise ResourceBudgetError(
-            f"rational Fourier powers capped at n = {_FOURIER_EXACT_MAX_N}")
+            f"exact Fourier moments capped at n = {_FOURIER_EXACT_MAX_N}")
     if k < 0:
         raise ConfigurationError("moment order must be nonnegative")
-    base = fourier_dict_exact(p)
-    acc: dict[int, Fraction] = {0: Fraction(1)}
-    for _ in range(k):
-        nxt: dict[int, Fraction] = {}
-        for m1, c1 in acc.items():
-            for m2, c2 in base.items():
-                key = m1 ^ m2
-                prod = c1 * c2
-                if key in nxt:
-                    nxt[key] += prod
-                else:
-                    nxt[key] = prod
-        acc = {m: c for m, c in nxt.items() if c != 0}
-    return acc.get(0, Fraction(0))
+    coeffs = {cube.subset_mask(s): Fraction(v) for s, v in p.fourier().items()}
+    denom = max((c.denominator for c in coeffs.values()), default=1)
+    spectrum = np.zeros(1 << p.n, dtype=object)
+    for mask, c in coeffs.items():
+        spectrum[mask] = c.numerator * (denom // c.denominator)
+    values = cube.fwht_inplace(spectrum).tolist()
+    return Fraction(sum(v ** k for v in values), denom ** k << p.n)
 
 
 def _centered(p: DegTwoPoly, center: str) -> DegTwoPoly:
@@ -121,10 +104,10 @@ def exact_moment_hypercube(p: DegTwoPoly, k: int,
                            center: str = "none") -> MomentReport:
     """E[(p(x) - optional trace)^k] by full enumeration.
 
-    Even k uses the signed power directly.  Odd k falls back to the
-    absolute value (the signed odd moment is rarely what a bound
-    needs); that path is flagged in the report via bound=None and is
-    the slower one because |.| blocks the rational cross-check.
+    Even k uses the signed power directly and, for n <= 12, carries the
+    exact value from :func:`moment_fourier_exact`.  Odd k falls back to
+    the absolute value (the signed odd moment is rarely what a bound
+    needs), which |.| keeps from the exact path: value_exact is None.
     """
     _require_enumerable(p.n, k)
     q = _centered(p, center)
@@ -279,10 +262,6 @@ class TailReport:
     samples: Optional[int] = None
     seed: Optional[int] = None
 
-    def bound_at(self, t: float) -> float:
-        """The Markov bound (k^{d/2}/t)^k with k re-chosen for this t."""
-        return _tail_bound(self.degree, t)[1]
-
 
 def _poly_degree(p: DegTwoPoly) -> int:
     off = p.quad - np.diag(np.diag(p.quad))
@@ -341,47 +320,3 @@ def hypercontractive_tail_check(p: DegTwoPoly, t: float,
                       exact_or_mc=mode, degree=d, k_used=k_used, bound=bound,
                       applicable=applicable, passed=passed, norm2=norm2,
                       samples=samples, seed=seed if mode == "mc" else None)
-
-
-# --------------------------------------------------------------------------
-# cube-vs-Gaussian distribution probe
-
-
-@dataclass
-class InvarianceReport:
-    distance: float             # sup-CDF (two-sample KS) distance
-    samples: int
-    seed: int
-    confidence_band: float      # DKW 95% half-width for the MC side
-
-
-def invariance_probe(p: DegTwoPoly, samples: int = 200_000,
-                     seed: int = 0) -> InvarianceReport:
-    """Sup-CDF distance between p on the uniform cube (exhaustive) and
-    its multilinear extension on Gaussian inputs (Monte Carlo).
-
-    Report-only: the underlying theorem's constant is unspecified, so
-    nothing here asserts a threshold.  The Gaussian side uses the
-    multilinear extension, which agrees with p on the cube.
-    """
-    if p.n > 16:
-        raise ResourceBudgetError("probe is exhaustive on the cube; n <= 16")
-    if samples < 1:
-        raise ConfigurationError("need at least one Gaussian sample")
-    cube_vals = np.sort(cube.poly_values(p))
-    rng = np.random.default_rng(seed)
-    parts = []
-    for start in range(0, samples, 1 << 15):
-        m = min(1 << 15, samples - start)
-        G = rng.standard_normal(size=(m, p.n))
-        parts.append(p.evaluate_multilinear_many(G))
-    gauss_vals = np.sort(np.concatenate(parts))
-
-    # Two-sample KS over the union of jump points.
-    grid = np.concatenate([cube_vals, gauss_vals])
-    cdf_cube = np.searchsorted(cube_vals, grid, side="right") / cube_vals.size
-    cdf_gauss = np.searchsorted(gauss_vals, grid, side="right") / gauss_vals.size
-    distance = float(np.max(np.abs(cdf_cube - cdf_gauss)))
-    band = math.sqrt(math.log(2.0 / 0.05) / (2.0 * samples))
-    return InvarianceReport(distance=distance, samples=samples, seed=seed,
-                            confidence_band=band)

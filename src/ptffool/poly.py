@@ -7,16 +7,17 @@ diagonal folds into the constant; the fold is tracked explicitly because
 the moment bounds downstream are stated in terms of tr(A).
 
 Also here: influences and regularity, the critical index of the sorted
-influence sequence, a cyclic Jacobi eigensolver, and the three-way
-spectral split of the quadratic part into eigenvalue bands (at or above
-delta, at or below -delta, and the small middle band).
+influence sequence, the symmetric eigendecomposition (LAPACK, through
+``np.linalg.eigh``), and the three-way spectral split of the quadratic
+part into eigenvalue bands (at or above delta, at or below -delta, and
+the small middle band).  Coefficients must be finite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -56,6 +57,9 @@ class DegTwoPoly:
         q = np.asarray(self.quad, dtype=np.float64)
         if q.shape != (self.n, self.n):
             raise ConfigurationError("quad must have shape (n, n)")
+        if not (math.isfinite(self.constant) and np.all(np.isfinite(self.linear))
+                and np.all(np.isfinite(q))):
+            raise ConfigurationError("coefficients must be finite")
         if not np.array_equal(q, q.T):
             raise ContractViolationError("quad must be exactly symmetric")
         # Canonical storage: rebuild from the upper triangle so both
@@ -112,25 +116,6 @@ class DegTwoPoly:
                     coeffs[(i, j)] = a
         return coeffs
 
-    @classmethod
-    def from_fourier(cls, n: int, coeffs: dict[tuple[int, ...], float]
-                     ) -> "DegTwoPoly":
-        """Inverse of :meth:`fourier` (fold lands in the constant)."""
-        constant = 0.0
-        lin: dict[int, float] = {}
-        quad: dict[tuple[int, int], float] = {}
-        for subset, v in coeffs.items():
-            subset = tuple(sorted(subset))
-            if len(subset) == 0:
-                constant = v
-            elif len(subset) == 1:
-                lin[subset[0]] = v
-            elif len(subset) == 2:
-                quad[subset] = v
-            else:
-                raise ConfigurationError("degree > 2 coefficient")
-        return cls.from_terms(n, constant, lin, quad)
-
     # -- evaluation
 
     def evaluate(self, x: np.ndarray) -> float:
@@ -142,17 +127,6 @@ class DegTwoPoly:
         X = np.asarray(X, dtype=np.float64)
         return (self.constant + X @ self.linear
                 + np.einsum("ri,ij,rj->r", X, self.quad, X))
-
-    def evaluate_multilinear(self, x: np.ndarray) -> float:
-        """Value of the multilinear extension (x_i^2 replaced by 1).
-
-        Coincides with :meth:`evaluate` on ±1 points; differs off the
-        cube, which is what the Gaussian surrogate comparisons need.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        off = self.quad - np.diag(np.diag(self.quad))
-        return float(self.constant + self.trace_fold()
-                     + self.linear @ x + x @ off @ x)
 
     def evaluate_multilinear_many(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -249,7 +223,7 @@ def critical_index(p: DegTwoPoly, tau: float) -> CriticalIndexResult:
 
 
 # --------------------------------------------------------------------------
-# eigendecomposition (cyclic Jacobi)
+# eigendecomposition
 
 
 @dataclass
@@ -257,32 +231,14 @@ class EigenDecomposition:
     eigenvalues: np.ndarray     # sorted descending
     eigenvectors: np.ndarray    # columns matching eigenvalues
 
-    def reconstruct(self) -> np.ndarray:
-        Q = self.eigenvectors
-        return (Q * self.eigenvalues) @ Q.T
-
-    def check(self, A: np.ndarray, tol: float = config.EIGEN_CHECK_TOL) -> bool:
-        Q = self.eigenvectors
-        ortho = np.max(np.abs(Q.T @ Q - np.eye(Q.shape[0])))
-        recon = np.max(np.abs(self.reconstruct() - A))
-        return ortho <= tol and recon <= tol
-
 
 def frobenius(A: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.asarray(A, dtype=np.float64) ** 2)))
 
 
-def eigendecompose_symmetric(A: np.ndarray,
-                             tol_rel: float = config.EIGEN_OFFDIAG_REL,
-                             max_sweeps: int = config.EIGEN_MAX_SWEEPS
-                             ) -> EigenDecomposition:
-    """Cyclic Jacobi iteration on a symmetric matrix.
-
-    Sweeps rotate away every off-diagonal pair in turn until the
-    off-diagonal Frobenius mass falls below tol_rel times the input
-    norm.  Transparent and adequate for the matrix sizes here; the sweep
-    cap guards against pathological non-convergence.
-    """
+def eigendecompose_symmetric(A: np.ndarray) -> EigenDecomposition:
+    """Eigenvalues in descending order and orthonormal eigenvector columns
+    of a finite symmetric matrix, by LAPACK (``np.linalg.eigh``)."""
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ContractViolationError("square matrix required")
@@ -290,97 +246,15 @@ def eigendecompose_symmetric(A: np.ndarray,
     if n > config.EIGEN_MAX_N:
         raise ResourceBudgetError(f"n={n} exceeds eigensolver cap "
                                   f"{config.EIGEN_MAX_N}")
-    scale = frobenius(A)
-    if not np.allclose(A, A.T, rtol=0.0, atol=1e-12 * max(scale, 1.0)):
+    if not np.all(np.isfinite(A)):
+        raise ContractViolationError("matrix has a non-finite entry")
+    if not np.allclose(A, A.T, rtol=0.0, atol=1e-12 * max(frobenius(A), 1.0)):
         raise ContractViolationError("matrix is not symmetric")
-    A = 0.5 * (A + A.T)
-
-    B = A.copy()
-    V = np.eye(n)
-    if scale == 0.0 or n == 1:
-        vals = np.diag(B).copy()
-        order = np.argsort(-vals, kind="stable")
-        return EigenDecomposition(vals[order], V[:, order])
-
-    for _ in range(max_sweeps):
-        # Off-diagonal Frobenius norm, summed directly: the tempting
-        # ||B||_F^2 - sum(diag^2) shortcut has a cancellation floor near
-        # sqrt(eps)*||A|| and can never meet a 1e-12 relative threshold.
-        off = frobenius(B - np.diag(np.diag(B)))
-        if off <= tol_rel * scale:
-            break
-        for piv in range(n - 1):
-            for qiv in range(piv + 1, n):
-                apq = B[piv, qiv]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (B[qiv, qiv] - B[piv, piv]) / (2.0 * apq)
-                t = (math.copysign(1.0, theta)
-                     / (abs(theta) + math.hypot(1.0, theta)))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                # two-sided rotation on (piv, qiv)
-                bp = B[:, piv].copy()
-                bq = B[:, qiv].copy()
-                B[:, piv] = c * bp - s * bq
-                B[:, qiv] = s * bp + c * bq
-                bp = B[piv, :].copy()
-                bq = B[qiv, :].copy()
-                B[piv, :] = c * bp - s * bq
-                B[qiv, :] = s * bp + c * bq
-                B[piv, qiv] = 0.0
-                B[qiv, piv] = 0.0
-                vp = V[:, piv].copy()
-                vq = V[:, qiv].copy()
-                V[:, piv] = c * vp - s * vq
-                V[:, qiv] = s * vp + c * vq
-    else:
-        raise ConvergenceError(f"Jacobi did not converge in {max_sweeps} sweeps")
-
-    vals = np.diag(B).copy()
-    order = np.argsort(-vals, kind="stable")
-    return EigenDecomposition(vals[order], V[:, order])
-
-
-# --------------------------------------------------------------------------
-# matrix facts
-
-
-@dataclass
-class MatrixFacts:
-    frobenius: float
-    trace: float
-    lambda_min_nonzero: float
-    lambda_max_magnitude: float
-    is_psd: bool
-    small_constant_check: Optional[bool]   # None when precondition unmet
-
-
-def matrix_facts(A: np.ndarray, zero_tol_rel: float = 1e-12) -> MatrixFacts:
-    """Norms, extreme eigenvalues, and the trace-vs-gap inequality.
-
-    ``lambda_min_nonzero`` is the smallest magnitude among nonzero
-    eigenvalues, with zero meaning the matrix vanishes; eigenvalues
-    within zero_tol_rel of zero (relative to the largest magnitude)
-    count as zero.  For PSD matrices with a gap, the check asserts
-    |tr(A)| <= ||A||_F^2 / lambda_min_nonzero.
-    """
-    A = np.asarray(A, dtype=np.float64)
-    fro = frobenius(A)
-    tr = float(np.trace(A))
-    dec = eigendecompose_symmetric(A)
-    mags = np.abs(dec.eigenvalues)
-    lam_max = float(np.max(mags)) if mags.size else 0.0
-    zero_tol = zero_tol_rel * max(lam_max, 1e-300)
-    nonzero = mags[mags > zero_tol]
-    lam_min = float(np.min(nonzero)) if nonzero.size else 0.0
-    is_psd = bool(np.all(dec.eigenvalues >= -zero_tol))
-    check = None
-    if is_psd and lam_min > 0.0:
-        check = abs(tr) <= fro ** 2 / lam_min + 1e-9
-    return MatrixFacts(frobenius=fro, trace=tr, lambda_min_nonzero=lam_min,
-                       lambda_max_magnitude=lam_max, is_psd=is_psd,
-                       small_constant_check=check)
+    try:
+        vals, vecs = np.linalg.eigh(0.5 * (A + A.T))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigh did not converge: {exc}") from None
+    return EigenDecomposition(vals[::-1].copy(), vecs[:, ::-1].copy())
 
 
 # --------------------------------------------------------------------------

@@ -43,11 +43,11 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import config
-from .cube import fwht
+from .cube import fwht_inplace as fwht    # the verifier owns its histogram
 from .errors import (ConfigurationError, FormatError, InvalidOrderError,
                      ResourceBudgetError)
 from .gf2 import (BLOCK_ELEMENTS, gf_elements, gf_mul_vec, gf_powers,
-                  mod2_matmul, popcount_u64, unpack_bits, xor_span)
+                  mod2_matmul, unpack_bits, xor_span)
 
 
 # --------------------------------------------------------------------------
@@ -173,6 +173,14 @@ class SampleSpace:
             return self.num_points
         return math.lcm(*(w.denominator for w in self.weights))
 
+    def probability(self, mask: np.ndarray) -> Fraction:
+        """Exact probability of the rows where the boolean ``mask`` is set:
+        a row count for a uniform space, else a dot product with the
+        integer weight numerators over their common denominator."""
+        weights, denom = _integer_weights(self)
+        hits = np.count_nonzero(mask) if weights is None else np.dot(mask, weights)
+        return Fraction(int(hits), denom)
+
     def validate(self) -> None:
         if not np.all(np.abs(self.points) == 1):
             raise ConfigurationError("all coordinates must be ±1")
@@ -281,12 +289,14 @@ def verify_kwise_exact(space: SampleSpace, k: Optional[int] = None) -> Verificat
     biased = []                     # (subset, integer parity sum)
     # one parity costs about as much as 512 + rows/32 butterflies (measured)
     if (1 << n) <= config.SUPPORT_BUDGET and n << n <= checked * (len(neg) // 32 + 512):
-        packed = np.packbits(neg, axis=1, bitorder="little").astype(np.int64)
-        index = packed @ (np.int64(1) << 8 * np.arange(packed.shape[1], dtype=np.int64))
+        packed = np.zeros((len(neg), 4), dtype=np.uint8)    # n <= 24: a uint32 per row
+        packed[:, :(n + 7) // 8] = np.packbits(neg, axis=1, bitorder="little")
         hist = np.zeros(1 << n, dtype=np.int64 if weights is None else weights.dtype)
-        np.add.at(hist, index, 1 if weights is None else weights)
+        np.add.at(hist, packed.view("<u4")[:, 0], 1 if weights is None else weights)
         spectrum = fwht(hist)
-        size = popcount_u64(np.arange(1 << n, dtype=np.uint64))
+        size = np.zeros(1 << n, dtype=np.uint8)             # subset sizes, by doubling
+        for i in range(n):
+            size[1 << i:2 << i] = size[:1 << i] + 1
         masks = np.flatnonzero((spectrum != 0) & (size >= 1) & (size <= order))
         biased = [(tuple(i for i in range(n) if s >> i & 1), int(spectrum[s]))
                   for s in masks.tolist()]

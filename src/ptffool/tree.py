@@ -129,12 +129,7 @@ def classify_leaf(p_rho: DegTwoPoly, tau: float,
             return Classification(kind=REGULAR, max_ratio=ratio)
 
     signs = sgn_vec(p_rho.evaluate_many(test_space.points.astype(np.float64)))
-    if test_space.weights is None:
-        pr_pos = Fraction(int(np.count_nonzero(signs > 0)),
-                          test_space.num_points)
-    else:
-        pr_pos = sum((w for w, s in zip(test_space.weights, signs) if s > 0),
-                     Fraction(0))
+    pr_pos = test_space.probability(signs > 0)
     b = 1 if pr_pos >= Fraction(1, 2) else -1
     disagreement = 1 - pr_pos if b == 1 else pr_pos
     kind = CLOSE_TO_CONSTANT if disagreement <= tau else BAD
@@ -327,12 +322,7 @@ def _space_reach_check(tree: DecisionTree, space: SampleSpace) -> SpaceReachRepo
         mask = np.ones(space.num_points, dtype=bool)
         for var, val in leaf.path:
             mask &= space.points[:, var] == val
-        if space.weights is None:
-            reach = Fraction(int(np.count_nonzero(mask)), space.num_points)
-        else:
-            reach = sum((w for w, hit in zip(space.weights, mask) if hit),
-                        Fraction(0))
-        gap = abs(reach - leaf.mass)
+        gap = abs(space.probability(mask) - leaf.mass)
         checked += 1
         if gap > worst_gap:
             worst_gap, worst_path = gap, leaf.path

@@ -258,3 +258,11 @@ def test_report_version_from_source_checkout(tmp_path, product_poly_file):
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert _read_report(rep_path)["version"] == "ptffool-0.1.0"
+
+
+@pytest.mark.parametrize("record", ["C nan", "L 1 inf", "Q 1 2 -inf"])
+@pytest.mark.parametrize("command", [["poly", "info"], ["fool", "lp", "--k", "1"]])
+def test_non_finite_coefficients_exit_64(tmp_path, record, command):
+    path = tmp_path / "bad.poly"
+    path.write_text(f"2\nQ 1 2 1.0\n{record}\n")
+    assert main(command + ["--poly", str(path)]) == 64

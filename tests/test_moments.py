@@ -1,12 +1,15 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_poly, random_tracefree_symmetric
+from moment_reference import moment_xor_convolution
 from ptffool import moments
-from ptffool.errors import ConfigurationError, ContractViolationError
+from ptffool.errors import (ConfigurationError, ContractViolationError,
+                            ResourceBudgetError)
 from ptffool.poly import DegTwoPoly
 
 
@@ -128,3 +131,34 @@ def test_moment_requires_enumerable():
     p = DegTwoPoly.from_terms(2, quad_terms={(0, 1): 1.0})
     with pytest.raises(ConfigurationError):
         moments.exact_moment_hypercube(p, 0)
+
+
+_coef = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
+
+
+@st.composite
+def small_polys(draw):
+    n = draw(st.integers(min_value=0, max_value=8))
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    return DegTwoPoly.from_terms(
+        n, draw(_coef),
+        dict(enumerate(draw(st.lists(_coef, min_size=n, max_size=n)))),
+        dict(zip(pairs, draw(st.lists(_coef, min_size=len(pairs),
+                                      max_size=len(pairs))))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_polys(), st.integers(min_value=0, max_value=8))
+def test_fourier_moment_matches_xor_convolution(p, k):
+    """The integer-FWHT oracle equals the rational XOR convolution exactly."""
+    assert moments.moment_fourier_exact(p, k) == moment_xor_convolution(p, k)
+
+
+def test_fourier_moment_exact_value_on_a_dyadic_polynomial():
+    # p = 1/2 + x1/4 - 3 x1 x2 over {-1,1}^2 takes -9/4, 15/4, 13/4, -11/4
+    p = DegTwoPoly.from_terms(2, 0.5, {0: 0.25}, {(0, 1): -3.0})
+    vals = [Fraction(-9, 4), Fraction(15, 4), Fraction(13, 4), Fraction(-11, 4)]
+    for k in range(5):
+        assert moments.moment_fourier_exact(p, k) == sum(v ** k for v in vals) / 4
+    with pytest.raises(ResourceBudgetError):
+        moments.moment_fourier_exact(DegTwoPoly(n=13), 2)

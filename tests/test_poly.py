@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_poly
+from ptffool import config
 from ptffool.cube import all_points, poly_values, poly_values_gray
 from ptffool.errors import (ConfigurationError, ContractViolationError,
-                            DegenerateInputError, FormatError)
+                            ConvergenceError, DegenerateInputError,
+                            FormatError, ResourceBudgetError)
 from ptffool.poly import (DegTwoPoly, critical_index, dump_poly,
                           dumps_poly, eigendecompose_symmetric,
                           evaluate_mp, influences, load_poly, loads_poly,
@@ -173,3 +175,34 @@ def test_text_format_rejects_garbage():
 def test_asymmetric_quad_rejected():
     with pytest.raises(ContractViolationError):
         DegTwoPoly(n=2, quad=np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("label,matrix", [
+    ("non-square", np.zeros((2, 3))),
+    ("asymmetric", np.array([[1.0, 2.0], [0.0, 1.0]])),
+    ("NaN entry", np.array([[1.0, np.nan], [np.nan, 1.0]])),
+])
+def test_eigendecompose_rejects_bad_matrices(label, matrix):
+    with pytest.raises(ContractViolationError):
+        eigendecompose_symmetric(matrix)
+
+
+def test_eigendecompose_size_cap_checks_shape_before_solving():
+    # a zero-stride view: the shape of a 2049 x 2049 matrix, one float of memory
+    stub = np.broadcast_to(np.float64(0.0), (config.EIGEN_MAX_N + 1,) * 2)
+    with pytest.raises(ResourceBudgetError):
+        eigendecompose_symmetric(stub)
+
+
+def test_eigendecompose_maps_lapack_failure(monkeypatch):
+    def fail(A):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(ConvergenceError):
+        eigendecompose_symmetric(np.eye(2))
+
+
+def test_eigendecompose_orders_eigenvalues_descending():
+    dec = eigendecompose_symmetric(np.diag([1.0, -3.0, 2.0]))
+    assert dec.eigenvalues.tolist() == [2.0, 1.0, -3.0]
+    assert np.array_equal(np.abs(dec.eigenvectors), np.eye(3)[:, [2, 0, 1]])
