@@ -319,9 +319,7 @@ def _repair_witness(side: _LpSide) -> Optional[SampleSpace]:
         adj = [pivot_rhs[i]
                - sum(pin_vals[j] * pivot_rows[i][j] for j in pinned)
                for i in range(rank)]
-        # rhs entries are Fractions; scale to integers for the solver
-        den = math.lcm(*(f.denominator for f in adj)) if adj else 1
-        sol = _bareiss_solve(sq, [f for f in adj])
+        sol = _bareiss_solve(sq, adj)
         if sol is None:
             return None
         full = [Fraction(0)] * cols

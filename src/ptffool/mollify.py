@@ -17,7 +17,9 @@ squared-bump moments (closed form against quadrature) check it.
 Derivatives of B are analytic, never finite differences: a radial
 function's partials expand into monomial-times-radial terms where each
 radial factor is again a closed-form Bessel expression, and B's
-derivatives follow by the product rule on g*g.
+derivatives follow by the product rule on g*g.  On a polar quadrature
+grid the radial factors depend on the radius alone, so each is
+evaluated once per radius and the directions supply the monomials.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .errors import ConfigurationError, InconclusiveError
 
 _SERIES_CUTOFF = config.BHAT_SERIES_CUTOFF
 _SERIES_TERMS = config.BHAT_SERIES_TERMS
+_PANEL_BLOCK = 5     # quadrature panels per evaluation: a few thousand points in d=2
 
 
 def bump_norm_const(d: int) -> float:
@@ -60,16 +63,22 @@ def _gl_nodes(npts: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _panel_quad(f, lo: float, hi: float, panel: float, npts: int) -> float:
-    """Composite Gauss-Legendre of a vectorized f over [lo, hi]."""
+    """Composite Gauss-Legendre of a vectorized f over [lo, hi].
+
+    f sees the nodes of _PANEL_BLOCK panels at once, as a (panels, npts)
+    array; each panel's weighted sum is kept and the sums meet in fsum.
+    """
     if hi <= lo:
         return 0.0
     x, w = _gl_nodes(npts)
+    a = np.arange(lo, hi, panel)
+    b = np.minimum(a + panel, hi)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
     total = []
-    edges = np.arange(lo, hi, panel)
-    for a in edges:
-        b = min(a + panel, hi)
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        total.append(half * float(np.dot(w, f(mid + half * x))))
+    for s in range(0, a.size, _PANEL_BLOCK):
+        blk = slice(s, s + _PANEL_BLOCK)
+        vals = f(mid[blk, None] + half[blk, None] * x)
+        total.extend(h * float(np.dot(w, v)) for h, v in zip(half[blk], vals))
     return math.fsum(total)
 
 
@@ -77,16 +86,24 @@ def _panel_quad(f, lo: float, hi: float, panel: float, npts: int) -> float:
 # the transform g = b-hat
 
 
-def _bhat_series(d: int, rho: np.ndarray) -> np.ndarray:
-    # Power series of 2 sqrt(C_d) J_nu(rho)/rho^nu at nu = d/2 + 1;
-    # this is also the t -> 0 limit path for the d = 1 closed form.
-    nu = d / 2.0 + 1.0
-    out = np.zeros_like(rho)
-    for j in range(_SERIES_TERMS):
-        term = ((-1.0) ** j / (2.0 ** (2 * j + nu)
-                               * math.factorial(j) * _gamma(j + nu + 1.0)))
-        out = out + term * rho ** (2 * j)
-    return 2.0 * math.sqrt(bump_norm_const(d)) * out
+def _psi_values(d: int, m: int, rho: np.ndarray) -> np.ndarray:
+    """m-fold (1/rho d/drho) of g, closed form: the Bessel order shifts
+    up by m with alternating sign.  m = 0 is g itself."""
+    nu = d / 2.0 + 1.0 + m
+    out = np.empty_like(rho)
+    small = rho < _SERIES_CUTOFF
+    if np.any(small):
+        acc = np.zeros_like(rho[small])
+        for j in range(_SERIES_TERMS):
+            term = ((-1.0) ** j / (2.0 ** (2 * j + nu)
+                                   * math.factorial(j) * _gamma(j + nu + 1.0)))
+            acc = acc + term * rho[small] ** (2 * j)
+        out[small] = acc
+    big = ~small
+    if np.any(big):
+        r = rho[big]
+        out[big] = _besselj(nu, r) / r ** nu
+    return 2.0 * math.sqrt(bump_norm_const(d)) * ((-1.0) ** m) * out
 
 
 def bhat_closed_form(d: int, t) -> np.ndarray:
@@ -94,18 +111,7 @@ def bhat_closed_form(d: int, t) -> np.ndarray:
 
     Series fallback near zero; the evaluator every integral here uses.
     """
-    rho = np.abs(np.atleast_1d(np.asarray(t, dtype=np.float64)))
-    nu = d / 2.0 + 1.0
-    out = np.empty_like(rho)
-    small = rho < _SERIES_CUTOFF
-    if np.any(small):
-        out[small] = _bhat_series(d, rho[small])
-    big = ~small
-    if np.any(big):
-        r = rho[big]
-        out[big] = (2.0 * math.sqrt(bump_norm_const(d))
-                    * _besselj(nu, r) / r ** nu)
-    return out
+    return _psi_values(d, 0, np.abs(np.atleast_1d(np.asarray(t, dtype=np.float64))))
 
 
 def kernel_value(d: int, x) -> float:
@@ -171,26 +177,6 @@ def check_unit_integral(d: int, c: float = 1.0) -> UnitIntegralReport:
 # derivatives of the kernel, analytically
 
 
-def _psi_values(d: int, m: int, rho: np.ndarray) -> np.ndarray:
-    """m-fold (1/rho d/drho) of g, closed form: the Bessel order shifts
-    up by m with alternating sign."""
-    nu = d / 2.0 + 1.0 + m
-    out = np.empty_like(rho)
-    small = rho < _SERIES_CUTOFF
-    if np.any(small):
-        acc = np.zeros_like(rho[small])
-        for j in range(_SERIES_TERMS):
-            term = ((-1.0) ** j / (2.0 ** (2 * j + nu)
-                                   * math.factorial(j) * _gamma(j + nu + 1.0)))
-            acc = acc + term * rho[small] ** (2 * j)
-        out[small] = acc
-    big = ~small
-    if np.any(big):
-        r = rho[big]
-        out[big] = _besselj(nu, r) / r ** nu
-    return 2.0 * math.sqrt(bump_norm_const(d)) * ((-1.0) ** m) * out
-
-
 def _radial_deriv_terms(alpha: Sequence[int]) -> dict[tuple[tuple[int, ...], int], float]:
     """Expand the partial derivative of a radial function into terms.
 
@@ -215,34 +201,41 @@ def _radial_deriv_terms(alpha: Sequence[int]) -> dict[tuple[tuple[int, ...], int
     return terms
 
 
-def bhat_partial(d: int, alpha: Sequence[int], points: np.ndarray) -> np.ndarray:
-    """Partial derivative of the transform at the given points (rows)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    rho = np.linalg.norm(pts, axis=1)
-    out = np.zeros(pts.shape[0])
-    for (mono, m), cf in _radial_deriv_terms(alpha).items():
-        vals = _psi_values(d, m, rho) * cf
-        for axis, e in enumerate(mono):
-            if e:
-                vals = vals * pts[:, axis] ** e
-        out += vals
-    return out
-
-
 def _multi_indices_leq(beta: Sequence[int]):
     return iter_product(*(range(b + 1) for b in beta))
 
 
-def kernel_partial(d: int, beta: Sequence[int], points: np.ndarray) -> np.ndarray:
-    """Partial derivative of B = g^2 by the product rule over transforms."""
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    out = np.zeros(pts.shape[0])
-    for alpha in _multi_indices_leq(beta):
+def _kernel_partial_grid(d: int, beta: Sequence[int], r: np.ndarray,
+                         omega: np.ndarray) -> np.ndarray:
+    """Partial derivative of B = g^2 at every point r * omega_j.
+
+    r is an array of radii, omega a (directions, d) array of unit
+    vectors; the result has shape r.shape + (directions,).  psi_m is
+    evaluated once per radius for m = 0..|beta|, each partial of g is
+    assembled once from its radial terms, and B's partial follows by the
+    product rule on g*g.
+    """
+    psi = [_psi_values(d, m, r)[..., None] for m in range(sum(beta) + 1)]
+    coords = r[..., None, None] * omega
+
+    def g_partial(alpha):
+        out = 0.0
+        for (mono, m), cf in _radial_deriv_terms(alpha).items():
+            vals = psi[m] * cf
+            for axis, e in enumerate(mono):
+                if e:
+                    vals = vals * coords[..., axis] ** e
+            out = out + vals
+        return out
+
+    g = {alpha: g_partial(alpha) for alpha in _multi_indices_leq(beta)}
+    out = np.zeros(coords.shape[:-1])
+    for alpha in g:
         comb = 1.0
         for bi, ai in zip(beta, alpha):
             comb *= math.comb(bi, ai)
         rest = tuple(b - a for b, a in zip(beta, alpha))
-        out += comb * bhat_partial(d, alpha, pts) * bhat_partial(d, rest, pts)
+        out = out + comb * g[alpha] * g[rest]
     return out
 
 
@@ -306,7 +299,7 @@ def deriv_l1_norm(d: int, beta: Sequence[int]) -> DerivNormReport:
         L = 80.0
         # |d^k B(-x)| = |d^k B(x)|, so integrate the half line twice.
         value = 2.0 * _panel_quad(
-            lambda x: np.abs(kernel_partial(1, beta, x[:, None])),
+            lambda x: np.abs(_kernel_partial_grid(1, beta, x, np.ones((1, 1))))[..., 0],
             0.0, L, 1.0, 12)
     else:
         L = 50.0
@@ -315,9 +308,8 @@ def deriv_l1_norm(d: int, beta: Sequence[int]) -> DerivNormReport:
         omega = np.stack([np.cos(theta), np.sin(theta)], axis=1)
 
         def ring(r: np.ndarray) -> np.ndarray:
-            pts = (r[:, None, None] * omega[None, :, :]).reshape(-1, 2)
-            vals = np.abs(kernel_partial(2, beta, pts)).reshape(r.size, ntheta)
-            return vals.mean(axis=1) * (2.0 * math.pi) * r
+            vals = np.abs(_kernel_partial_grid(2, beta, r, omega))
+            return vals.mean(axis=-1) * (2.0 * math.pi) * r
 
         value = _panel_quad(ring, 0.0, L, 1.0, 10)
 

@@ -395,41 +395,48 @@ def loads_poly(text: str) -> DegTwoPoly:
     lines = text.splitlines()
     if not lines:
         raise FormatError("empty polynomial text")
-    first = lines[0].split()
-    if len(first) != 1:
-        raise FormatError("first line must be the dimension n")
     try:
-        n = int(first[0])
+        (n,) = map(int, lines[0].split())
     except ValueError:
-        raise FormatError("first line must be the dimension n") from None
+        n = -1
+    if n < 0:
+        raise FormatError("first line must be the dimension n >= 0")
     constant = 0.0
     linear: dict[int, float] = {}
     quad: dict[tuple[int, int], float] = {}
+    seen = set()
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split()
         if not parts:
             continue
         tag = parts[0]
+        if len(parts) != {"C": 2, "L": 3, "Q": 4}.get(tag):
+            raise FormatError(f"line {lineno}: unrecognized record")
         try:
-            if tag == "C" and len(parts) == 2:
-                constant = float(parts[1])
-            elif tag == "L" and len(parts) == 3:
-                idx = int(parts[1]) - 1
-                if not 0 <= idx < n:
-                    raise FormatError(f"line {lineno}: index out of range")
-                linear[idx] = float(parts[2])
-            elif tag == "Q" and len(parts) == 4:
-                i, j = int(parts[1]) - 1, int(parts[2]) - 1
-                if not (0 <= i <= j < n):
-                    raise FormatError(f"line {lineno}: need 1 <= i <= j <= n")
-                quad[(i, j)] = float(parts[3])
-            else:
-                raise FormatError(f"line {lineno}: unrecognized record")
+            idx = tuple(int(v) - 1 for v in parts[1:-1])
+            value = float(parts[-1])
         except ValueError as exc:
             raise FormatError(f"line {lineno}: {exc}") from exc
+        if tag == "L" and not 0 <= idx[0] < n:
+            raise FormatError(f"line {lineno}: index out of range")
+        if tag == "Q" and not 0 <= idx[0] <= idx[1] < n:
+            raise FormatError(f"line {lineno}: need 1 <= i <= j <= n")
+        if (tag, idx) in seen:
+            raise FormatError(f"line {lineno}: repeated {' '.join(parts[:-1])} record")
+        seen.add((tag, idx))
+        if tag == "C":
+            constant = value
+        elif tag == "L":
+            linear[idx[0]] = value
+        else:
+            quad[idx] = value
     return DegTwoPoly.from_terms(n, constant, linear, quad)
 
 
 def load_poly(path) -> DegTwoPoly:
     with open(path, "r", encoding="ascii") as fh:
-        return loads_poly(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"polynomial file {path}: {exc}") from None
+    return loads_poly(text)

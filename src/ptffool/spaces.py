@@ -284,15 +284,19 @@ def verify_kwise_exact(space: SampleSpace, k: Optional[int] = None) -> Verificat
     order = space.k_claimed if k is None else k
     n = space.n
     weights, total = _integer_weights(space)
-    neg = space.points < 0
+    rows = len(space.points)
     checked = sum(math.comb(n, size) for size in range(1, min(order, n) + 1))
     biased = []                     # (subset, integer parity sum)
     # one parity costs about as much as 512 + rows/32 butterflies (measured)
-    if (1 << n) <= config.SUPPORT_BUDGET and n << n <= checked * (len(neg) // 32 + 512):
-        packed = np.zeros((len(neg), 4), dtype=np.uint8)    # n <= 24: a uint32 per row
-        packed[:, :(n + 7) // 8] = np.packbits(neg, axis=1, bitorder="little")
+    if (1 << n) <= config.SUPPORT_BUDGET and n << n <= checked * (rows // 32 + 512):
         hist = np.zeros(1 << n, dtype=np.int64 if weights is None else weights.dtype)
-        np.add.at(hist, packed.view("<u4")[:, 0], 1 if weights is None else weights)
+        step = max(1, BLOCK_ELEMENTS // max(1, n))          # sign bits a block of rows at a time
+        for start in range(0, rows, step):
+            block = space.points[start:start + step] < 0
+            packed = np.zeros((len(block), 4), dtype=np.uint8)     # n <= 24: a uint32 per row
+            packed[:, :(n + 7) // 8] = np.packbits(block, axis=1, bitorder="little")
+            np.add.at(hist, packed.view("<u4")[:, 0],
+                      1 if weights is None else weights[start:start + step])
         spectrum = fwht(hist)
         size = np.zeros(1 << n, dtype=np.uint8)             # subset sizes, by doubling
         for i in range(n):
@@ -301,7 +305,7 @@ def verify_kwise_exact(space: SampleSpace, k: Optional[int] = None) -> Verificat
         biased = [(tuple(i for i in range(n) if s >> i & 1), int(spectrum[s]))
                   for s in masks.tolist()]
     else:
-        cols = np.ascontiguousarray(neg.T)
+        cols = np.ascontiguousarray((space.points < 0).T)
         def walk(subset, parity):   # depth first: the parity of subset + (i,) is parity ^ x_i
             if len(subset) >= order:
                 return
@@ -312,7 +316,7 @@ def verify_kwise_exact(space: SampleSpace, k: Optional[int] = None) -> Verificat
                     biased.append((grown, total - 2 * odd))
                 walk(grown, cur)
 
-        walk((), np.zeros(len(neg), dtype=bool))
+        walk((), np.zeros(rows, dtype=bool))
     biased.sort(key=lambda e: (len(e[0]), e[0]))
 
     failures = [(subset, Fraction(value, total)) for subset, value in biased]

@@ -172,7 +172,6 @@ def test_criterion_06_second_moment_identity():
     _line(6, "second moment identity", failures)
 
 
-@pytest.mark.slow
 def test_criterion_07_eigenbound_constant():
     failures = []
     rng = np.random.default_rng(707)

@@ -225,6 +225,41 @@ def test_malformed_space_files_exit_64(tmp_path, label, text):
     assert main(["kwise", "verify", "--space", str(path)]) == 64, label
 
 
+GOOD_POLY = "2\nC 0.5\nL 1 1.0\nQ 1 2 -1.0\n"
+
+
+@pytest.mark.parametrize("label,text,message", [
+    ("empty file", "", "empty polynomial text"),
+    ("negative dimension", "-1\n", "first line must be the dimension n >= 0"),
+    ("word dimension", "two\nC 1\n", "first line must be the dimension n >= 0"),
+    ("two fields on the first line", "2 3\nC 1\n", "first line must be the dimension n >= 0"),
+    ("repeated C", GOOD_POLY + "C 2\n", "line 5: repeated C record"),
+    ("repeated L", "2\nL 1 1\nL 1 5\n", "line 3: repeated L 1 record"),
+    ("repeated Q", "2\nQ 1 2 1\nC 0\nQ 1 2 1\n", "line 4: repeated Q 1 2 record"),
+    ("L index out of range", "2\nL 3 1\n", "line 2: index out of range"),
+    ("L index zero", "2\nL 0 1\n", "line 2: index out of range"),
+    ("Q below the diagonal", "2\nQ 2 1 1\n", "line 2: need 1 <= i <= j <= n"),
+    ("word index", "2\nQ 1 x 1\n", "line 2: invalid literal for int() with base 10: 'x'"),
+    ("word coefficient", "2\nC one\n", "line 2: could not convert string to float: 'one'"),
+    ("unknown tag", "2\nK 1\n", "line 2: unrecognized record"),
+    ("short record", "2\nL 1\n", "line 2: unrecognized record"),
+    ("long record", "2\nC 1 2\n", "line 2: unrecognized record"),
+])
+def test_malformed_poly_files_exit_64(tmp_path, capsys, label, text, message):
+    path = tmp_path / "bad.poly"
+    path.write_text(text)
+    assert main(["poly", "info", "--poly", str(path)]) == 64, label
+    assert capsys.readouterr().err == f"error: {message}\n", label
+
+
+def test_non_ascii_poly_file_exits_64(tmp_path):
+    path = tmp_path / "bad.poly"
+    path.write_bytes("2\nC \u22121\n".encode("utf-8"))
+    assert main(["poly", "info", "--poly", str(path)]) == 64
+    path.write_text(GOOD_POLY)
+    assert main(["poly", "info", "--poly", str(path)]) == 0
+
+
 def test_good_space_file_verifies(tmp_path):
     path = tmp_path / "good.space"
     path.write_text(GOOD_SPACE)

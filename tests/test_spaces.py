@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -269,6 +270,36 @@ def test_verify_weighted_huge_denominator_stays_exact(monkeypatch):
     assert rep.failures == kwise_reference.verify_per_subset(space, 2)[4]
     monkeypatch.setattr(spaces.config, "SUPPORT_BUDGET", 1)    # parity by parity
     assert spaces.verify_kwise_exact(space, 2).failures == rep.failures
+
+
+def test_verify_packs_sign_bits_in_row_blocks(monkeypatch):
+    """Blocks of 7 rows on the transform path: the per-subset oracle's
+    reports, uniform and weighted, passing and failing."""
+    sp = spaces.build_kwise_bernoulli(8, 3)
+    nums = np.random.default_rng(11).integers(1, 6, sp.num_points)
+    weighted = spaces.SampleSpace(n=8, k_claimed=3, points=sp.points,
+                                  weights=[Fraction(int(v), int(nums.sum())) for v in nums])
+    monkeypatch.setattr(spaces, "BLOCK_ELEMENTS", 7 * 8)
+    for space in (sp, weighted):
+        for order in (3, 4):
+            rep = spaces.verify_kwise_exact(space, order)
+            assert (rep.passed, rep.subsets_checked, rep.worst_subset, rep.worst_bias,
+                    rep.failures) == kwise_reference.verify_per_subset(space, order)
+
+
+def test_verify_transform_memory_is_packed_rows_and_histogram():
+    """n = 20, k = 4 (2^20 rows): the transform path holds the 8-byte
+    histogram and one block of rows; a rows x n array of sign bools would
+    add 20 MiB, a packed uint32 per row 4 MiB."""
+    sp = spaces.build_kwise_bernoulli(20, 4)
+    tracemalloc.start()
+    try:
+        rep = spaces.verify_kwise_exact(sp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.passed, rep.subsets_checked) == (True, 6195)
+    assert peak <= 8 * (1 << 20) + (5 << 20), peak / 2 ** 20
 
 
 @settings(max_examples=30, deadline=None)
