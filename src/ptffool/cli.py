@@ -298,8 +298,7 @@ def _cmd_fool_lp(args) -> int:
           and rep.check_order_invariant())
     if rep.witness_repair_failed:
         payload["inconclusive_reason"] = (
-            "exact witness repair gave up (LP support above "
-            f"{config.WITNESS_REPAIR_MAX_SUPPORT} points or no exact solution)")
+            f"exact witness repair gave up: {rep.witness_repair_reason}")
     if args.emit_witness and rep.witness_max is not None:
         spaces.dump_sample_space(rep.witness_max, args.emit_witness)
         payload["witness_file"] = args.emit_witness

@@ -9,7 +9,12 @@ one constraint per parity up to order k) and extracts three artifacts
 from one solve: the optimum, an optimal distribution repaired to exact
 rational feasibility, and a degree-k sandwiching polynomial certificate
 recovered from the dual and re-verified in integer arithmetic.  The
-probe level is Monte Carlo, for quantities with no exact counterpart.
+repair solves the support's parity system by one float LU, integer
+iterative refinement and rational reconstruction; floats only search,
+and an integer check of every row is the proof.  The sgn LP and the
+intersection LP share one driver, and one broadcast popcount builds
+every parity row.  The probe level is Monte Carlo, for quantities with
+no exact counterpart.
 
 The sign convention is sgn(0) = +1 everywhere.  Reports carry the
 sign-scale deviation; the {0,1}-indicator scale is exactly half of it
@@ -18,23 +23,31 @@ and appears alongside where it matters.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
 from scipy.optimize import linprog
 
 from . import config, cube
 from .errors import (ConfigurationError, ContractViolationError,
                      ConvergenceError, DegenerateInputError,
                      InconclusiveError, ResourceBudgetError)
+from .gf2 import BLOCK_ELEMENTS, popcount_u64
 from .poly import DegTwoPoly, sgn_vec
 from .spaces import SampleSpace, VerificationReport, verify_kwise_exact
 
 _CERT_DEN = config.CERT_DENOMINATOR
 _LP_MATRIX_BUDGET = 600_000_000  # bytes of dense constraint matrix
+_PIVOT_TOL = 1e-9            # LU pivots at or below this count as zero
+_REFINE_BITS = 47            # bits of each refinement correction; support * 2^47
+                             # fits int64 for any support below 2^15
+_RECONSTRUCT_EVERY = 4       # refinement steps between reconstruction attempts
+_LIMB_BITS = 31              # limb width of the exact integer matmul
 
 
 def sgn_values(p: DegTwoPoly) -> np.ndarray:
@@ -92,16 +105,6 @@ class SandwichCertificate:
     slack_added: Fraction
     verified: bool
 
-    def evaluate(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=np.float64)
-        total = 0.0
-        for subset, coef in self.coefficients.items():
-            val = float(coef)
-            for i in subset:
-                val *= x[i]
-            total += val
-        return total
-
 
 @dataclass
 class DeviationReport:
@@ -121,6 +124,7 @@ class DeviationReport:
     witness_max_check: Optional[VerificationReport] = None
     witness_min_check: Optional[VerificationReport] = None
     witness_repair_failed: bool = False
+    witness_repair_reason: Optional[str] = None
     objective: str = "sgn"               # "sgn" | "indicator"
 
     def check_order_invariant(self, tol: float = config.LP_FEAS_TOL) -> bool:
@@ -146,24 +150,25 @@ def deviation(p: DegTwoPoly, space: SampleSpace) -> DeviationReport:
 # the adversarial LP
 
 
-def _parity_subsets(n: int, k: int) -> list[tuple[int, ...]]:
-    return cube.subsets_up_to(n, k)
-
-
 def _constraint_matrix(n: int, k: int) -> tuple[np.ndarray, list[tuple[int, ...]]]:
-    """Equality rows for the LP: the all-ones normalization row followed
-    by one chi_S row per nonempty subset of size <= k."""
-    subsets = _parity_subsets(n, k)
+    """Equality rows for the LP: the all-ones normalization row (chi of
+    the empty set) followed by one chi_S row per nonempty subset of size
+    <= k, from one broadcast popcount of the subset bitmasks against the
+    cube row indices, a block of rows at a time."""
+    subsets = cube.subsets_up_to(n, k)
     cols = 1 << n
     need = (len(subsets) + 1) * cols * 8
     if need > _LP_MATRIX_BUDGET:
         raise ResourceBudgetError(
             f"constraint matrix would take {need / 1e9:.1f} GB; "
             "reduce n or k")
-    A = np.empty((len(subsets) + 1, cols), dtype=np.float64)
-    A[0, :] = 1.0
-    for r, subset in enumerate(subsets, start=1):
-        A[r, :] = cube.parity_column(n, subset)
+    masks = np.array([0] + [cube.subset_mask(s) for s in subsets], dtype=np.uint64)
+    indices = np.arange(cols, dtype=np.uint64)
+    A = np.empty((masks.size, cols))
+    step = max(1, BLOCK_ELEMENTS // cols)
+    for lo in range(0, masks.size, step):
+        odd = popcount_u64(masks[lo:lo + step, None] & indices) & 1
+        A[lo:lo + step] = 1 - 2 * odd.astype(np.int8)
     return A, subsets
 
 
@@ -174,30 +179,50 @@ class _LpSide:
     weights: np.ndarray
     dual: np.ndarray                     # marginals of the equality rows
     subsets: list[tuple[int, ...]]
+    A: np.ndarray                        # the equality rows, ±1
     objective_values: np.ndarray         # s(x) over the cube
     uniform_expectation: Fraction
     k: int
     n: int
 
 
-def _solve_side(sense: str, s: np.ndarray, A: np.ndarray,
-                subsets: list[tuple[int, ...]], uni: Fraction,
-                n: int, k: int) -> _LpSide:
+def _solve_lp(values: np.ndarray, n: int, k: int, sense: str, objective: str,
+              emit_certificates: bool) -> tuple[DeviationReport, list[_LpSide]]:
+    """The LP driver shared by every objective (integer ``values`` over the
+    cube): solve the requested sides, max first, and return them with a
+    report of the optima, the deviation on both scales and the certificates."""
+    uni = Fraction(int(np.sum(values, dtype=np.int64)), values.size)
+    report = DeviationReport(n=n, k=k, mode="lp", uniform_expectation=uni,
+                             objective=objective)
+    s = values.astype(np.float64)
+    A, subsets = _constraint_matrix(n, k)
     b = np.zeros(A.shape[0])
     b[0] = 1.0
-    cvec = -s if sense == "max" else s
-    res = linprog(cvec, A_eq=A, b_eq=b, bounds=(0.0, None),
-                  method="highs-ds")
-    if res.status == 1:
-        raise InconclusiveError("LP hit its iteration cap")
-    if res.status != 0:
-        # The uniform distribution is always feasible, so anything but
-        # success means the solve itself broke.
-        raise ConvergenceError(f"LP solver failure: {res.message}")
-    optimum = -res.fun if sense == "max" else res.fun
-    return _LpSide(sense=sense, optimum=optimum, weights=res.x,
-                   dual=np.asarray(res.eqlin.marginals), subsets=subsets,
-                   objective_values=s, uniform_expectation=uni, n=n, k=k)
+    sides, devs = [], [0.0]
+    for side_sense, sign, bound in (("max", -1.0, "upper"), ("min", 1.0, "lower")):
+        if sense not in (side_sense, "both"):
+            continue
+        res = linprog(sign * s, A_eq=A, b_eq=b, bounds=(0.0, None),
+                      method="highs-ds")
+        if res.status == 1:
+            raise InconclusiveError("LP hit its iteration cap")
+        if res.status != 0:
+            # The uniform distribution is always feasible, so anything but
+            # success means the solve itself broke.
+            raise ConvergenceError(f"LP solver failure: {res.message}")
+        side = _LpSide(sense=side_sense, optimum=sign * res.fun, weights=res.x,
+                       dual=np.asarray(res.eqlin.marginals), subsets=subsets,
+                       A=A, objective_values=s, uniform_expectation=uni,
+                       n=n, k=k)
+        sides.append(side)
+        setattr(report, f"lp_{side_sense}", side.optimum)
+        devs.append(-sign * (side.optimum - float(uni)))
+        if emit_certificates:
+            setattr(report, f"certificate_{bound}", sandwich_from_dual(side))
+    report.deviation = max(devs)
+    report.indicator_deviation = (report.deviation if objective == "indicator"
+                                  else report.deviation / 2.0)
+    return report, sides
 
 
 def sandwich_from_dual(side: _LpSide) -> SandwichCertificate:
@@ -210,34 +235,22 @@ def sandwich_from_dual(side: _LpSide) -> SandwichCertificate:
     arithmetic, repairing any rounding violation by shifting the
     constant term.  The exact gap must then agree with the LP's.
     """
-    sign = -1.0 if side.sense == "max" else 1.0
-    raw = sign * side.dual
+    sign = -1 if side.sense == "max" else 1
     # Round onto the fixed dyadic grid; numerators stay well inside int64.
-    nums = [int(round(float(v) * _CERT_DEN)) for v in raw]
-
-    qnum = np.full(1 << side.n, nums[0], dtype=np.int64)
-    for r, subset in enumerate(side.subsets, start=1):
-        if nums[r]:
-            qnum += nums[r] * cube.parity_column(side.n, subset).astype(np.int64)
+    nums = [int(round(float(v) * _CERT_DEN)) for v in sign * side.dual]
+    qnum = np.asarray(nums, dtype=np.int64) @ side.A.astype(np.int8)
 
     snum = side.objective_values.astype(np.int64) * _CERT_DEN
     direction = "upper" if side.sense == "max" else "lower"
-    if direction == "upper":
-        worst = int(np.max(snum - qnum))
-    else:
-        worst = int(np.max(qnum - snum))
+    worst = int(np.max(sign * (qnum - snum)))      # upper: s - q; lower: q - s
     slack = Fraction(0)
     if worst > 0:
         # Rounding nudged q across s somewhere; shift the constant out.
         slack = Fraction(worst, _CERT_DEN)
-        nums[0] += worst if direction == "upper" else -worst
+        nums[0] -= sign * worst
 
-    coeffs: dict[tuple[int, ...], Fraction] = {}
-    if nums[0]:
-        coeffs[()] = Fraction(nums[0], _CERT_DEN)
-    for r, subset in enumerate(side.subsets, start=1):
-        if nums[r]:
-            coeffs[subset] = Fraction(nums[r], _CERT_DEN)
+    coeffs = {subset: Fraction(v, _CERT_DEN)
+              for subset, v in zip([()] + side.subsets, nums) if v}
 
     expectation = Fraction(nums[0], _CERT_DEN)
     gap = abs(expectation - side.uniform_expectation)
@@ -249,101 +262,140 @@ def sandwich_from_dual(side: _LpSide) -> SandwichCertificate:
                                verified=verified)
 
 
-def _bareiss_solve(M: list[list[int]], rhs: list[Fraction]
-                   ) -> Optional[list[Fraction]]:
-    """Exact solve of a square integer system by fraction-free
-    elimination; None if singular."""
-    n = len(M)
-    A = [[Fraction(M[i][j]) for j in range(n)] + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if A[r][col] != 0), None)
-        if piv is None:
-            return None
-        A[col], A[piv] = A[piv], A[col]
-        inv = A[col][col]
-        for r in range(n):
-            if r != col and A[r][col] != 0:
-                factor = A[r][col] / inv
-                A[r] = [a - factor * b for a, b in zip(A[r], A[col])]
-    return [A[i][n] / A[i][i] for i in range(n)]
+def _pivot_rows(M: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+    """One float LU of M with partial row pivoting: the first min(rows,
+    cols) pivot rows, how many pivots are not zero, and the LU factors of
+    the square system those rows form (no further row swaps needed)."""
+    # Fortran order is LAPACK's own: a C-order input made the call 20x
+    # slower at 638 x 638 on a 2-core machine.
+    lu, piv = lu_factor(np.asfortranarray(M, dtype=np.float64), check_finite=False)
+    perm = np.arange(M.shape[0])
+    for i, j in enumerate(piv):
+        perm[[i, j]] = perm[[j, i]]
+    m = min(M.shape)
+    rank = int(np.count_nonzero(np.abs(np.diagonal(lu)) > _PIVOT_TOL))
+    return perm[:m], rank, lu[:m, :m]
 
 
-def _repair_witness(side: _LpSide) -> Optional[SampleSpace]:
-    """Exact-rational repair of the LP's optimal vertex.
+def _exact_matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M @ v in Python ints for a ±1 matrix M and Python-int vector v.
 
-    The float solution nominates a support; the parity constraints
-    restricted to that support are solved exactly, free columns pinned
-    to dyadic roundings of their float weights.  The result must be
-    nonnegative, sum to one, and kill every parity exactly, otherwise
-    the repair is reported as failed rather than papered over.
+    v is split into signed 31-bit limbs, so one int64 matmul multiplies
+    them all exactly (each sum stays below cols * 2^31), and the columns of
+    the product are shifted back together.
+    """
+    mag = np.abs(v)
+    limbs = 1 + max(int(x).bit_length() for x in mag) // _LIMB_BITS
+    parts = np.empty((v.size, limbs), dtype=np.int64)
+    for t in range(limbs):
+        parts[:, t] = (mag >> (_LIMB_BITS * t)) & ((1 << _LIMB_BITS) - 1)
+    parts[v < 0] *= -1
+    prod = M.astype(np.int64) @ parts
+    return sum(prod[:, t].astype(object) << (_LIMB_BITS * t) for t in range(limbs))
+
+
+def _reconstruct(N: np.ndarray, D: int, E: int) -> Optional[tuple[np.ndarray, int]]:
+    """Rationals num/L with one common denominator L, each within E/D of
+    N/D, by continued fractions (``Fraction.limit_denominator``); None if
+    D is not yet large enough for the denominators met on the way."""
+    bound = math.isqrt(D // (2 * E))     # fractions with denominators up to
+    L = 1                                # this are unique within E/D
+    for a in N:
+        a = int(a) * L
+        if abs(a - (2 * a + D) // (2 * D) * D) > L * E:   # L * x_j is no integer
+            f = Fraction(a, D).limit_denominator(max(1, bound // L))
+            if abs(a * f.denominator - f.numerator * D) > L * E * f.denominator:
+                return None              # no fraction that small is close enough
+            L *= f.denominator
+    return None if L > bound else ((2 * L * N + D) // (2 * D), L)
+
+
+def _solve_exact(B: np.ndarray, lu: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int]:
+    """Exact solution num/den of the square ±1 system B x = c (c int64).
+
+    Numeric-symbolic iterative refinement (Dixon 1982; Wan 2006): each step
+    solves the residual in floats, scales it by 2^e to _REFINE_BITS bits,
+    rounds it to an integer correction x and updates r <- 2^e r - B x in
+    int64, so B N + r = D c with D = 2^(sum of e).  Every few steps N/D is
+    reconstructed over one common denominator and returned once B num =
+    den c holds.  The budget is twice the Hadamard bound on det B in bits.
+    """
+    m = c.size
+    budget = int(m * math.log2(max(m, 2))) + 2 * int(np.abs(c).max()).bit_length() + 64
+    factors = (lu, np.arange(m, dtype=np.int32))
+    r, N, D = c.copy(), np.zeros(m, dtype=object), 1
+    for step in itertools.count(1):
+        if not r.any():
+            return N, D
+        y = lu_solve(factors, r.astype(np.float64), check_finite=False)
+        top = float(np.max(np.abs(y)))
+        e = _REFINE_BITS - math.frexp(top)[1]          # 2^e * |y| < 2^_REFINE_BITS
+        rmax = int(np.abs(r).max())
+        if not math.isfinite(top) or e < 1 or rmax.bit_length() + e > 62:
+            raise InconclusiveError("iterative refinement did not converge")
+        spent = D.bit_length() > budget
+        if spent or step % _RECONSTRUCT_EVERY == 0:
+            found = _reconstruct(N, D, int(2 * top) + 2)
+            if found is not None and np.array_equal(_exact_matvec(B, found[0]),
+                                                   found[1] * c.astype(object)):
+                return found
+        if spent:
+            raise InconclusiveError(
+                f"rational reconstruction failed within the {budget}-bit budget")
+        x = np.rint(np.ldexp(y, e)).astype(np.int64)
+        r = (r << e) - B @ x
+        if int(np.abs(r).max()) > rmax << (e - 1):   # the error B^-1 r / D must halve
+            raise InconclusiveError("iterative refinement did not converge")
+        N, D = (N << e) + x.astype(object), D << e
+
+
+def _repair_witness(side: _LpSide) -> tuple[Optional[SampleSpace], Optional[str]]:
+    """Exact-rational repair of the LP's optimal vertex: (witness, None),
+    or (None, reason) when the repair gives up, never an unchecked witness.
+
+    The float solution nominates a support; M is A on it (rows x support).
+    One float LU of M picks independent rows; if they fall short, the
+    lightest columns are pinned to multiples of 2^-32 near their float
+    weights.  :func:`_solve_exact` solves the square system.  The proof is
+    integer: over their common denominator D the weights are nonnegative and
+    every row of M sums to D (normalization) or 0 (parities).
     """
     w = side.weights
     support = np.nonzero(w > config.WITNESS_SUPPORT_TOL)[0]
-    if support.size == 0 or support.size > config.WITNESS_REPAIR_MAX_SUPPORT:
-        return None
     cols = support.size
-    rows_int: list[list[int]] = [[1] * cols]
-    for subset in side.subsets:
-        chi = cube.parity_column(side.n, subset)
-        rows_int.append([int(chi[j]) for j in support])
-    rhs_full = [Fraction(1)] + [Fraction(0)] * len(side.subsets)
-
-    # Select a set of independent rows (float rank detection is fine
-    # here; the exact solve below is what actually certifies).
-    M = np.array(rows_int, dtype=np.float64)
-    chosen: list[int] = []
-    basis: list[np.ndarray] = []
-    for r in range(M.shape[0]):
-        v = M[r].copy()
-        for bvec in basis:
-            v -= (v @ bvec) * bvec
-        norm = np.linalg.norm(v)
-        if norm > 1e-9:
-            basis.append(v / norm)
-            chosen.append(r)
-        if len(chosen) == cols:
-            break
-
-    pivot_rows = [rows_int[r] for r in chosen]
-    pivot_rhs = [rhs_full[r] for r in chosen]
-    rank = len(chosen)
+    if cols > config.WITNESS_REPAIR_MAX_SUPPORT:
+        return None, (f"LP support of {cols} points is above the repair cap "
+                      f"of {config.WITNESS_REPAIR_MAX_SUPPORT}")
+    M = side.A[:, support].astype(np.int8)
+    rows, rank, lu = _pivot_rows(M)
+    free = np.arange(cols)
+    pin = np.zeros(cols, dtype=np.int64)
     if rank < cols:
-        # Pin the extra columns to rounded float values, solve the rest.
-        keep = cols - rank
-        order = np.argsort(w[support])  # pin the lightest columns
-        pinned = set(int(i) for i in order[:keep])
-        pin_vals = {j: Fraction(float(w[support[j]])).limit_denominator(_CERT_DEN)
-                    for j in pinned}
-        free = [j for j in range(cols) if j not in pinned]
-        sq = [[row[j] for j in free] for row in pivot_rows]
-        adj = [pivot_rhs[i]
-               - sum(pin_vals[j] * pivot_rows[i][j] for j in pinned)
-               for i in range(rank)]
-        sol = _bareiss_solve(sq, adj)
-        if sol is None:
-            return None
-        full = [Fraction(0)] * cols
-        for j, v in zip(free, sol):
-            full[j] = v
-        for j, v in pin_vals.items():
-            full[j] = v
-    else:
-        sol = _bareiss_solve(pivot_rows, pivot_rhs)
-        if sol is None:
-            return None
-        full = sol
-
+        pinned = np.argsort(w[support])[:cols - rank]   # the lightest columns
+        pin[pinned] = np.rint(w[support[pinned]] * _CERT_DEN)
+        free = np.setdiff1d(free, pinned)
+        rows, rank, lu = _pivot_rows(M[:, free])
+        if rank < free.size:
+            return None, "the support's parity rows are singular after pinning"
+    B = M[rows][:, free].astype(np.int64)
+    # Row 0 is the normalization row: right-hand side 1, scaled by 2^32.
+    c = np.where(rows == 0, _CERT_DEN, 0) - M[rows].astype(np.int64) @ pin
+    try:
+        num, den = _solve_exact(B, lu, c)
+    except InconclusiveError as exc:
+        return None, str(exc)
+    full = pin.astype(object) * den
+    full[free] = num
+    den *= _CERT_DEN
     if any(v < 0 for v in full):
-        return None
-    for row, target in zip(rows_int, rhs_full):
-        acc = sum(c * v for c, v in zip(row, full))
-        if acc != target:
-            return None
-
+        return None, "a reconstructed weight is negative"
+    sums = _exact_matvec(M, full)
+    if sums[0] != den or sums[1:].any():
+        return None, "the exact parity check failed on the full system"
     pts = cube.signs_for_indices(support.astype(np.uint64), side.n)
     return SampleSpace(n=side.n, k_claimed=side.k, points=pts,
-                       weights=[Fraction(v) for v in full],
-                       method="lp_witness")
+                       weights=[Fraction(int(v), den) for v in full],
+                       method="lp_witness"), None
 
 
 def worst_case_lp(p: DegTwoPoly, k: int, sense: str = "both",
@@ -365,50 +417,19 @@ def worst_case_lp(p: DegTwoPoly, k: int, sense: str = "both",
     if sense not in ("max", "min", "both"):
         raise ConfigurationError("sense must be max, min, or both")
 
-    signs = sgn_values(p)
-    s = signs.astype(np.float64)
-    uni = Fraction(int(np.sum(signs, dtype=np.int64)), signs.size)
-    A, subsets = _constraint_matrix(n, k)
-
-    report = DeviationReport(n=n, k=k, mode="lp", uniform_expectation=uni)
-    sides: list[_LpSide] = []
-    if sense in ("max", "both"):
-        side = _solve_side("max", s, A, subsets, uni, n, k)
-        report.lp_max = side.optimum
-        sides.append(side)
-    if sense in ("min", "both"):
-        side = _solve_side("min", s, A, subsets, uni, n, k)
-        report.lp_min = side.optimum
-        sides.append(side)
-
-    u = float(uni)
-    devs = []
-    if report.lp_max is not None:
-        devs.append(report.lp_max - u)
-    if report.lp_min is not None:
-        devs.append(u - report.lp_min)
-    report.deviation = max(0.0, max(devs))
-    report.indicator_deviation = report.deviation / 2.0
-
+    report, sides = _solve_lp(sgn_values(p), n, k, sense, "sgn", emit_certificates)
+    if not emit_witness:
+        return report
+    reasons = []
     for side in sides:
-        if emit_certificates:
-            cert = sandwich_from_dual(side)
-            if side.sense == "max":
-                report.certificate_upper = cert
-            else:
-                report.certificate_lower = cert
-        if emit_witness:
-            witness = _repair_witness(side)
-            if witness is None:
-                report.witness_repair_failed = True
-            else:
-                check = verify_kwise_exact(witness, k)
-                if side.sense == "max":
-                    report.witness_max = witness
-                    report.witness_max_check = check
-                else:
-                    report.witness_min = witness
-                    report.witness_min_check = check
+        witness, why = _repair_witness(side)
+        if witness is None:
+            reasons.append(f"{side.sense} side: {why}")
+        else:
+            setattr(report, f"witness_{side.sense}", witness)
+            setattr(report, f"witness_{side.sense}_check", verify_kwise_exact(witness, k))
+    report.witness_repair_failed = bool(reasons)
+    report.witness_repair_reason = "; ".join(reasons) or None
     return report
 
 
@@ -447,36 +468,7 @@ def intersection_deviation(ps: Sequence[DegTwoPoly], k: int,
     member = np.ones(1 << n, dtype=np.int64)
     for q in ps:
         member &= (cube.poly_values(q) >= 0.0).astype(np.int64)
-    uni = Fraction(int(member.sum()), member.size)
-    A, subsets = _constraint_matrix(n, k)
-    s = member.astype(np.float64)
-
-    report = DeviationReport(n=n, k=k, mode="lp", uniform_expectation=uni,
-                             objective="indicator")
-    sides = []
-    if sense in ("max", "both"):
-        side = _solve_side("max", s, A, subsets, uni, n, k)
-        report.lp_max = side.optimum
-        sides.append(side)
-    if sense in ("min", "both"):
-        side = _solve_side("min", s, A, subsets, uni, n, k)
-        report.lp_min = side.optimum
-        sides.append(side)
-    u = float(uni)
-    devs = [0.0]
-    if report.lp_max is not None:
-        devs.append(report.lp_max - u)
-    if report.lp_min is not None:
-        devs.append(u - report.lp_min)
-    report.deviation = max(devs)
-    report.indicator_deviation = report.deviation
-    for side in sides:
-        cert = sandwich_from_dual(side)
-        if side.sense == "max":
-            report.certificate_upper = cert
-        else:
-            report.certificate_lower = cert
-    return report
+    return _solve_lp(member, n, k, sense, "indicator", emit_certificates=True)[0]
 
 
 # --------------------------------------------------------------------------

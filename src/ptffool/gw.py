@@ -28,6 +28,7 @@ import numpy as np
 
 from . import config
 from .errors import ConfigurationError, FormatError
+from .poly import read_ascii
 from .spaces import GaussianSpace
 
 _GENERATOR_KINDS = ("antipodal", "cycle_optimal", "random_unit")
@@ -290,22 +291,21 @@ def dump_graph(graph: Graph, path) -> None:
 def load_graph(path) -> Graph:
     edges = []
     top = 0
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) not in (2, 3):
-                raise FormatError(f"line {lineno}: need 'u v' or 'u v w'")
-            try:
-                u, v = int(parts[0]) - 1, int(parts[1]) - 1
-                w = float(parts[2]) if len(parts) == 3 else 1.0
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: {exc}") from exc
-            if u < 0 or v < 0:
-                raise FormatError(f"line {lineno}: vertex ids are 1-based")
-            top = max(top, u + 1, v + 1)
-            edges.append((u, v, w))
+    for lineno, line in enumerate(read_ascii(path, "graph").split("\n"), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) not in (2, 3):
+            raise FormatError(f"line {lineno}: need 'u v' or 'u v w'")
+        try:
+            u, v = int(parts[0]) - 1, int(parts[1]) - 1
+            w = float(parts[2]) if len(parts) == 3 else 1.0
+        except ValueError as exc:
+            raise FormatError(f"line {lineno}: {exc}") from exc
+        if u < 0 or v < 0:
+            raise FormatError(f"line {lineno}: vertex ids are 1-based")
+        top = max(top, u + 1, v + 1)
+        edges.append((u, v, w))
     if not edges:
         raise FormatError("graph file has no edges")
     return Graph(num_vertices=top, edges=tuple(edges))
@@ -322,29 +322,28 @@ def dump_embedding(embedding: Embedding, path) -> None:
 def load_embedding(path) -> Embedding:
     rows: dict[int, np.ndarray] = {}
     dim = None
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            try:
-                v = int(parts[0]) - 1
-                d = int(parts[1])
-                coords = [float(c) for c in parts[2:]]
-            except (ValueError, IndexError) as exc:
-                raise FormatError(f"line {lineno}: {exc}") from exc
-            if len(coords) != d:
-                raise FormatError(
-                    f"line {lineno}: declared dim {d}, found {len(coords)} coords")
-            if dim is None:
-                dim = d
-            elif d != dim:
-                raise FormatError(f"line {lineno}: dim {d} != earlier dim {dim}")
-            if v < 0:
-                raise FormatError(f"line {lineno}: vertex ids are 1-based")
-            if v in rows:
-                raise FormatError(f"line {lineno}: vertex {v + 1} repeated")
-            rows[v] = np.array(coords)
+    for lineno, line in enumerate(read_ascii(path, "embedding").split("\n"), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        try:
+            v = int(parts[0]) - 1
+            d = int(parts[1])
+            coords = [float(c) for c in parts[2:]]
+        except (ValueError, IndexError) as exc:
+            raise FormatError(f"line {lineno}: {exc}") from exc
+        if len(coords) != d:
+            raise FormatError(
+                f"line {lineno}: declared dim {d}, found {len(coords)} coords")
+        if dim is None:
+            dim = d
+        elif d != dim:
+            raise FormatError(f"line {lineno}: dim {d} != earlier dim {dim}")
+        if v < 0:
+            raise FormatError(f"line {lineno}: vertex ids are 1-based")
+        if v in rows:
+            raise FormatError(f"line {lineno}: vertex {v + 1} repeated")
+        rows[v] = np.array(coords)
     if not rows:
         raise FormatError("embedding file has no vertices")
     count = max(rows) + 1

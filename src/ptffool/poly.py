@@ -433,10 +433,14 @@ def loads_poly(text: str) -> DegTwoPoly:
     return DegTwoPoly.from_terms(n, constant, linear, quad)
 
 
-def load_poly(path) -> DegTwoPoly:
+def read_ascii(path, what: str) -> str:
+    """A text file's contents; a non-ASCII byte raises FormatError."""
     with open(path, "r", encoding="ascii") as fh:
         try:
-            text = fh.read()
+            return fh.read()
         except UnicodeDecodeError as exc:
-            raise FormatError(f"polynomial file {path}: {exc}") from None
-    return loads_poly(text)
+            raise FormatError(f"{what} file {path}: {exc}") from None
+
+
+def load_poly(path) -> DegTwoPoly:
+    return loads_poly(read_ascii(path, "polynomial"))

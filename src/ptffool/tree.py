@@ -28,7 +28,7 @@ from . import config
 from .cube import all_points
 from .errors import ConfigurationError, FormatError
 from .poly import (DegTwoPoly, dumps_poly, influences, loads_poly,
-                   regularity, sgn_vec)
+                   read_ascii, regularity, sgn_vec)
 from .spaces import SampleSpace, build_kwise_bernoulli
 
 REGULAR = "regular"
@@ -457,9 +457,7 @@ def _obj_to_node(obj, depth: int,
 
 
 def load_tree(path) -> DecisionTree:
-    with open(path, "r", encoding="ascii") as fh:
-        obj = json.load(fh)
-    root = _obj_to_node(obj, 0, ())
+    root = _obj_to_node(json.loads(read_ascii(path, "tree")), 0, ())
     first = root if isinstance(root, Leaf) else next(
         leaf for leaf in DecisionTree(n=0, root=root).leaves())
     tree = DecisionTree(n=first.poly.n, root=root)

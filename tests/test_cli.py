@@ -1,12 +1,14 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from ptffool import config, gw, spaces
+from conftest import random_poly
+from ptffool import config, fooling, gw, spaces
 from ptffool.cli import main
 from ptffool.poly import DegTwoPoly, dump_poly
 
@@ -282,6 +284,86 @@ def test_fool_lp_repair_give_up_is_inconclusive(tmp_path, monkeypatch,
     certs = _read_report(cert)
     assert certs["upper"]["verified"] and certs["lower"]["verified"]
     assert main(["fool", "lp", "--poly", product_poly_file, "--k", "1"]) == 2
+
+
+def _wrap_solver(monkeypatch, mutate):
+    solve = fooling._solve_exact
+    monkeypatch.setattr(fooling, "_solve_exact", lambda *a: mutate(*solve(*a)))
+
+
+def _negate_first(num, den):
+    num = num.copy()
+    num[0] = -num[0] - 1
+    return num, den
+
+
+def _off_by_one(num, den):
+    num = num.copy()
+    num[0] += 1
+    return num, den
+
+
+@pytest.mark.parametrize("patch, reason", [
+    (lambda mp: mp.setattr(config, "WITNESS_REPAIR_MAX_SUPPORT", 1),
+     r"LP support of \d+ points is above the repair cap of 1"),
+    (lambda mp: mp.setattr(fooling, "lu_solve", lambda f, r, **kw: np.zeros(r.shape)),
+     "iterative refinement did not converge"),
+    (lambda mp: _wrap_solver(mp, _negate_first), "a reconstructed weight is negative"),
+    (lambda mp: _wrap_solver(mp, _off_by_one), "the exact parity check failed"),
+])
+def test_fool_lp_inconclusive_reason_names_the_cause(tmp_path, monkeypatch,
+                                                     product_poly_file, patch, reason):
+    patch(monkeypatch)
+    rep_path = str(tmp_path / "r.json")
+    assert main(["fool", "lp", "--poly", product_poly_file, "--k", "1",
+                 "--report", rep_path]) == 2
+    why = _read_report(rep_path)["inconclusive_reason"]
+    assert why.startswith("exact witness repair gave up: max side: ")
+    assert re.search(reason, why) and "min side: " in why
+
+
+def _fool_lp_witness_at(tmp_path, n, k, p):
+    poly_path, rep_path, wit = (str(tmp_path / name) for name in ("p.poly", "r.json", "w.space"))
+    dump_poly(p, poly_path)
+    assert main(["fool", "lp", "--poly", poly_path, "--k", str(k),
+                 "--emit-witness", wit, "--report", rep_path]) == 0
+    rep = _read_report(rep_path)
+    assert rep["witness_verified"] is True and not rep["witness_repair_failed"]
+    back = spaces.load_sample_space(wit)
+    assert back.n == n and spaces.verify_kwise_exact(back, k).passed
+    return back
+
+
+def test_fool_lp_repairs_a_full_support_witness_at_n9_k5(tmp_path):
+    """Support 382, every parity row of order <= 5 at n = 9."""
+    back = _fool_lp_witness_at(tmp_path, 9, 5, random_poly(9, np.random.default_rng(9)))
+    assert back.num_points == 382
+
+
+N10_POLY = DegTwoPoly.from_terms(10, constant=0.25, linear={i: 1.0 for i in range(10)},
+                                 quad_terms={(0, 1): 2.0, (2, 3): -1.0})
+
+
+@pytest.mark.slow
+def test_fool_lp_repairs_witness_at_n10_k5(tmp_path):
+    """A support of 540 points on the max side, 422 on the min side."""
+    back = _fool_lp_witness_at(tmp_path, 10, 5, N10_POLY)
+    assert back.num_points > 512
+
+
+@pytest.mark.parametrize("name, text", [
+    ("g.graph", "1 2 \u22121\n"),                      # U+2212 minus sign
+    ("e.emb", "1 2 1.0 0.0\n2 2 \u22121.0 0.0\n"),
+])
+def test_non_ascii_gw_files_exit_64(tmp_path, name, text):
+    g = gw.single_edge()
+    gw.dump_graph(g, tmp_path / "g.graph")
+    gw.dump_embedding(gw.generate_test_embedding(g, "antipodal"), tmp_path / "e.emb")
+    argv = ["gw", "round", "--graph", str(tmp_path / "g.graph"),
+            "--embedding", str(tmp_path / "e.emb"), "--k", "2", "--resolution", "256"]
+    assert main(argv) == 0
+    (tmp_path / name).write_bytes(text.encode("utf-8"))
+    assert main(argv) == 64
 
 
 def test_report_version_from_source_checkout(tmp_path, product_poly_file):

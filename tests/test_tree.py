@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_poly
 from ptffool import spaces, tree
-from ptffool.errors import ConfigurationError
+from ptffool.errors import ConfigurationError, FormatError
 from ptffool.poly import DegTwoPoly
 
 
@@ -167,6 +167,14 @@ def test_dump_load_round_trip(tmp_path, rng):
     assert back.depth() == t.depth()
     tree.dump_tree(back, tmp_path / "t2.json")
     assert (tmp_path / "t.json").read_bytes() == (tmp_path / "t2.json").read_bytes()
+
+
+def test_load_rejects_non_ascii_bytes(tmp_path, rng):
+    path = tmp_path / "t.json"
+    tree.dump_tree(tree.build_tree(random_poly(3, rng), tau=0.25), path)
+    path.write_bytes(path.read_bytes() + "\u2212".encode("utf-8"))
+    with pytest.raises(FormatError):
+        tree.load_tree(path)
 
 
 def test_default_test_space_order():
