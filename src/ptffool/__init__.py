@@ -14,11 +14,10 @@ rounding statistics), always next to a stated tolerance.
 __version__ = "0.1.0"
 
 from .config import RunConfig
-from .errors import (CertificateError, ConfigurationError,
-                     ContractViolationError, ConvergenceError,
-                     DecompositionCorruptError, DegenerateInputError,
-                     FormatError, InconclusiveError, InvalidOrderError,
-                     PtfFoolError, ResourceBudgetError)
+from .errors import (ConfigurationError, ContractViolationError,
+                     ConvergenceError, DecompositionCorruptError,
+                     DegenerateInputError, FormatError, InconclusiveError,
+                     InvalidOrderError, PtfFoolError, ResourceBudgetError)
 from .fooling import (anticoncentration_probe, deviation,
                       exact_sgn_expectation, indicator_expectation,
                       intersection_deviation, lp_sweep, worst_case_lp)
@@ -42,7 +41,7 @@ __all__ = [
     "RunConfig",
     "PtfFoolError", "InvalidOrderError", "ResourceBudgetError",
     "ConfigurationError", "ContractViolationError", "DegenerateInputError",
-    "ConvergenceError", "DecompositionCorruptError", "CertificateError",
+    "ConvergenceError", "DecompositionCorruptError",
     "FormatError", "InconclusiveError",
     "SampleSpace", "GaussianSpace", "build_kwise_bernoulli",
     "build_kwise_gaussian", "verify_kwise_exact", "sample",

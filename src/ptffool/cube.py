@@ -7,16 +7,14 @@ straight from popcounts and ``fwht`` returns every parity sum of a
 function on the cube at once (and, since chi_S(x) = chi_x(S), a function's
 values from its Fourier coefficients).
 
-Two evaluation paths exist for degree-2 polynomials.  The blocked path
-is the production one (bit extraction plus matrix products on slabs of
-rows); the Gray-code walk recomputes each value from its predecessor
-with O(n) work per step and serves as an independent cross-check.
+``poly_values`` evaluates a degree-2 polynomial at every point with the
+package's one float evaluator, ``DegTwoPoly.evaluate_many``.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,8 +22,6 @@ from . import config
 from .errors import ResourceBudgetError
 from .gf2 import popcount_u64
 from .poly import DegTwoPoly
-
-_BLOCK = 1 << 16
 
 
 def _check_n(n: int) -> None:
@@ -36,9 +32,11 @@ def _check_n(n: int) -> None:
 
 def signs_for_indices(indices: np.ndarray, n: int) -> np.ndarray:
     """Sign rows for the given point indices, int8, shape (len, n)."""
-    indices = np.asarray(indices, dtype=np.uint64)
-    bits = (indices[:, None] >> np.arange(n, dtype=np.uint64)[None, :]) & 1
-    return (1 - 2 * bits.astype(np.int8)).astype(np.int8)
+    octets = np.ascontiguousarray(indices, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    bits = np.unpackbits(octets, axis=1, count=n, bitorder="little").view(np.int8)
+    bits *= -2
+    bits += 1
+    return bits
 
 
 def all_points(n: int) -> np.ndarray:
@@ -47,53 +45,9 @@ def all_points(n: int) -> np.ndarray:
     return signs_for_indices(np.arange(1 << n, dtype=np.uint64), n)
 
 
-def iter_blocks(n: int, block: int = _BLOCK) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (start_index, sign_block) covering the cube in row order."""
-    _check_n(n)
-    total = 1 << n
-    for start in range(0, total, block):
-        stop = min(start + block, total)
-        yield start, signs_for_indices(
-            np.arange(start, stop, dtype=np.uint64), n)
-
-
-def poly_values(p: DegTwoPoly, block: int = _BLOCK) -> np.ndarray:
-    """p evaluated at every cube point, in row order."""
-    _check_n(p.n)
-    total = 1 << p.n
-    out = np.empty(total, dtype=np.float64)
-    for start, signs in iter_blocks(p.n, block):
-        X = signs.astype(np.float64)
-        vals = p.constant + X @ p.linear + np.sum((X @ p.quad) * X, axis=1)
-        out[start:start + X.shape[0]] = vals
-    return out
-
-
-def poly_values_gray(p: DegTwoPoly) -> np.ndarray:
-    """Reference evaluation by a Gray-code walk.
-
-    Each step flips one coordinate and patches the running value through
-    the identity p(x with x_i negated) - p(x) = -2 x_i (l_i + 2(u_i -
-    A_ii x_i)) where u = A x.  Slow and simple on purpose; used to
-    cross-check the blocked path.
-    """
-    _check_n(p.n)
-    n = p.n
-    total = 1 << n
-    out = np.empty(total, dtype=np.float64)
-    x = np.ones(n, dtype=np.float64)
-    u = p.quad @ x
-    value = p.evaluate(x)
-    out[0] = value
-    for step in range(1, total):
-        i = (step & -step).bit_length() - 1
-        xi = x[i]
-        value += -2.0 * xi * (p.linear[i] + 2.0 * (u[i] - p.quad[i, i] * xi))
-        u -= 2.0 * xi * p.quad[:, i]
-        x[i] = -xi
-        gray = step ^ (step >> 1)
-        out[gray] = value
-    return out
+def poly_values(p: DegTwoPoly) -> np.ndarray:
+    """p evaluated in floats at every cube point, in row order."""
+    return p.evaluate_many(all_points(p.n))
 
 
 def subsets_up_to(n: int, k: int) -> list[tuple[int, ...]]:

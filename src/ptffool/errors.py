@@ -46,11 +46,6 @@ class DecompositionCorruptError(PtfFoolError, RuntimeError):
     negative, indicating a corrupted decomposition rather than roundoff."""
 
 
-class CertificateError(PtfFoolError, RuntimeError):
-    """An exactness repair (rational rounding of an LP witness or dual
-    certificate) could not be completed soundly."""
-
-
 class FormatError(PtfFoolError, ValueError):
     """A text input does not conform to one of the documented file formats."""
 

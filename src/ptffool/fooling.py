@@ -16,9 +16,10 @@ intersection LP share one driver, and one broadcast popcount builds
 every parity row.  The probe level is Monte Carlo, for quantities with
 no exact counterpart.
 
-The sign convention is sgn(0) = +1 everywhere.  Reports carry the
-sign-scale deviation; the {0,1}-indicator scale is exactly half of it
-and appears alongside where it matters.
+Every sign of p is exact (``poly.signs``), with sgn(0) = +1 everywhere
+applied as ``signs(...) >= 0``.  Reports carry the sign-scale deviation;
+the {0,1}-indicator scale is exactly half of it and appears alongside
+where it matters.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .errors import (ConfigurationError, ContractViolationError,
                      ConvergenceError, DegenerateInputError,
                      InconclusiveError, ResourceBudgetError)
 from .gf2 import BLOCK_ELEMENTS, popcount_u64
-from .poly import DegTwoPoly, sgn_vec
+from .poly import DegTwoPoly, signs
 from .spaces import SampleSpace, VerificationReport, verify_kwise_exact
 
 _CERT_DEN = config.CERT_DENOMINATOR
@@ -51,8 +52,8 @@ _LIMB_BITS = 31              # limb width of the exact integer matmul
 
 
 def sgn_values(p: DegTwoPoly) -> np.ndarray:
-    """sgn(p) over the full cube in row order, int8."""
-    return sgn_vec(cube.poly_values(p))
+    """sgn(p) over the full cube in row order, int8, exact."""
+    return np.where(signs(p, cube.all_points(p.n)) >= 0, 1, -1).astype(np.int8)
 
 
 def exact_sgn_expectation(p: DegTwoPoly,
@@ -65,13 +66,12 @@ def exact_sgn_expectation(p: DegTwoPoly,
         if p.n > config.ENUM_MAX_N:
             raise ResourceBudgetError(
                 f"uniform enumeration capped at n = {config.ENUM_MAX_N}")
-        signs = sgn_values(p)
-        return Fraction(int(np.sum(signs, dtype=np.int64)), signs.size)
+        values = sgn_values(p)
+        return Fraction(int(np.sum(values, dtype=np.int64)), values.size)
     space = dist
     if space.n != p.n:
         raise ConfigurationError("space dimension does not match polynomial")
-    signs = sgn_vec(p.evaluate_many(space.points.astype(np.float64)))
-    return 2 * space.probability(signs > 0) - 1
+    return 2 * space.probability(signs(p, space.points) >= 0) - 1
 
 
 def indicator_expectation(p: DegTwoPoly,
@@ -465,9 +465,10 @@ def intersection_deviation(ps: Sequence[DegTwoPoly], k: int,
     if n > config.LP_MAX_N:
         raise ResourceBudgetError(f"LP enumeration capped at n = {config.LP_MAX_N}")
 
+    points = cube.all_points(n)
     member = np.ones(1 << n, dtype=np.int64)
     for q in ps:
-        member &= (cube.poly_values(q) >= 0.0).astype(np.int64)
+        member &= (signs(q, points) >= 0).astype(np.int64)
     return _solve_lp(member, n, k, sense, "indicator", emit_certificates=True)[0]
 
 
@@ -507,8 +508,9 @@ def anticoncentration_probe(p: DegTwoPoly, eps_prime: float, t: float,
         raise ConfigurationError("eps_prime must be positive")
     q = _normalized(p)
     if isinstance(space, SampleSpace):
-        vals = q.evaluate_many(space.points.astype(np.float64))
-        prob = space.probability(np.abs(vals - t) < eps_prime)
+        lo, hi = (Fraction(t) + d * Fraction(eps_prime) for d in (-1, 1))
+        prob = space.probability((signs(q, space.points, hi) < 0)
+                                 & (signs(q, space.points, lo) > 0))
         return ProbeReport(probability=float(prob), exact=prob, mode="space",
                            eps_prime=eps_prime, t=t)
     if space != "gaussian-mc":

@@ -347,7 +347,8 @@ def load_embedding(path) -> Embedding:
     if not rows:
         raise FormatError("embedding file has no vertices")
     count = max(rows) + 1
-    missing = [v + 1 for v in range(count) if v not in rows]
-    if missing:
-        raise FormatError(f"embedding file is missing vertices {missing}")
+    if len(rows) != count:
+        first = next(v for v in range(count) if v not in rows)
+        raise FormatError(f"embedding file lists {len(rows)} of vertices "
+                          f"1..{count}; vertex {first + 1} is missing")
     return Embedding(np.vstack([rows[v] for v in range(count)]))

@@ -534,7 +534,7 @@ def kernel_cdf_2d(u: float, v: float) -> float:
 
 @dataclass
 class Mollifier:
-    """The scaled kernel B_c with its quadrature configuration.
+    """The scaled kernel B_c in dimension d <= 2.
 
     ``self_check`` recomputes the unit integral; a mollifier whose
     quadrature cannot see mass 1 at tolerance has no business smoothing
@@ -543,19 +543,12 @@ class Mollifier:
 
     d: int
     c: float
-    radial_cap: float = 200.0
-    panel: float = 1.0
-    nodes_per_panel: int = 12
 
     def __post_init__(self):
         if self.c <= 0:
             raise ConfigurationError("scale must be positive")
         if self.d not in (1, 2):
             raise ConfigurationError("mollified evaluation supports d <= 2")
-
-    def kernel(self, x) -> float:
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        return (self.c ** self.d) * kernel_value(self.d, self.c * x)
 
     def self_check(self) -> UnitIntegralReport:
         return check_unit_integral(self.d, self.c)

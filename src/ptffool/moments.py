@@ -1,10 +1,9 @@
 """Moment computation over the cube and the inequality checks built on it.
 
 Exhaustive moments run over the full cube (n capped at 20) with
-compensated summation; an independent exact path (n <= 12) takes the
-integer Fourier coefficients over their common dyadic denominator
-through one Walsh-Hadamard transform and sums powers in Python ints,
-which is what the cross-check tests lean on.
+compensated summation; an independent exact path (n <= 12), which is
+``value_exact``, takes p's integer form (``poly.integer_form``) through
+one Walsh-Hadamard transform and sums powers in Python ints.
 
 The validators mirror the inequalities the library depends on: the
 k-th-moment eigenvalue bound for trace-centered quadratic forms (with
@@ -26,7 +25,7 @@ import numpy as np
 from . import config, cube
 from .errors import (ConfigurationError, ContractViolationError,
                      DegenerateInputError, ResourceBudgetError)
-from .poly import DegTwoPoly, frobenius, eigendecompose_symmetric
+from .poly import DegTwoPoly, eigendecompose_symmetric, frobenius, integer_form
 
 _FOURIER_EXACT_MAX_N = 12
 
@@ -54,11 +53,8 @@ def _require_enumerable(n: int, k: int) -> None:
 
 
 def _chunked_mean(values: np.ndarray, transform) -> float:
-    """Deterministic compensated mean of transform(values) by chunks.
-
-    Chunks are fsum-ed independently and merged in index order, so the
-    result does not depend on how many workers ran (partition-stable).
-    """
+    """Deterministic compensated mean of transform(values): each chunk of
+    2^16 values is fsum-ed and the partial sums meet in one more fsum."""
     total = values.size
     chunk = 1 << 16
     partials = []
@@ -72,8 +68,9 @@ def moment_fourier_exact(p: DegTwoPoly, k: int) -> Fraction:
     """E[p(x)^k] in exact arithmetic, from the Fourier side.
 
     Binary floats are dyadic, so over their common denominator D the
-    Fourier coefficients are integers c_S.  One integer Walsh-Hadamard
-    transform of c gives D*p(x) at every cube point, and the moment is
+    Fourier coefficients are integers c_S (:func:`poly.integer_form`, which
+    folds the diagonal exactly).  One integer Walsh-Hadamard transform of c
+    gives D*p(x) at every cube point, and the moment is
     sum (D*p(x))^k / (2^n D^k) in Python ints.  None of it shares
     arithmetic with the floating enumeration it cross-checks.
     """
@@ -82,21 +79,23 @@ def moment_fourier_exact(p: DegTwoPoly, k: int) -> Fraction:
             f"exact Fourier moments capped at n = {_FOURIER_EXACT_MAX_N}")
     if k < 0:
         raise ConfigurationError("moment order must be nonnegative")
-    coeffs = {cube.subset_mask(s): Fraction(v) for s, v in p.fourier().items()}
-    denom = max((c.denominator for c in coeffs.values()), default=1)
+    den, constant, linear, pairs = integer_form(p)
+    bit = 1 << np.arange(p.n)
+    upper = bit[:, None] < bit
     spectrum = np.zeros(1 << p.n, dtype=object)
-    for mask, c in coeffs.items():
-        spectrum[mask] = c.numerator * (denom // c.denominator)
+    spectrum[0] = constant
+    spectrum[bit] = linear
+    spectrum[(bit[:, None] | bit)[upper]] = pairs[upper]
     values = cube.fwht_inplace(spectrum).tolist()
-    return Fraction(sum(v ** k for v in values), denom ** k << p.n)
+    return Fraction(sum(v ** k for v in values), den ** k << p.n)
 
 
 def _centered(p: DegTwoPoly, center: str) -> DegTwoPoly:
     if center == "none":
         return p
-    if center == "trace":
-        return DegTwoPoly(n=p.n, constant=p.constant - p.trace_fold(),
-                          linear=p.linear, quad=p.quad)
+    if center == "trace":       # x_i^2 = 1: p - tr A is p without its diagonal
+        return DegTwoPoly(n=p.n, constant=p.constant, linear=p.linear,
+                          quad=p.quad - np.diag(np.diag(p.quad)))
     raise ConfigurationError(f"unknown centering {center!r}")
 
 

@@ -6,6 +6,10 @@ diagonal entries multiply x_i^2.  On the hypercube x_i^2 = 1, so the
 diagonal folds into the constant; the fold is tracked explicitly because
 the moment bounds downstream are stated in terms of tr(A).
 
+The arithmetic of p lives here: one float evaluator (``evaluate_many``),
+one integer form (``integer_form``) and one exact sign (``signs``), a
+float filter over the evaluator that the integer form backs up.
+
 Also here: influences and regularity, the critical index of the sorted
 influence sequence, the symmetric eigendecomposition (LAPACK, through
 ``np.linalg.eigh``), and the three-way spectral split of the quadratic
@@ -17,7 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from fractions import Fraction
+from typing import Optional, Union
 
 import numpy as np
 
@@ -27,14 +32,7 @@ from .errors import (ConfigurationError, ContractViolationError,
                      DegenerateInputError, FormatError, ResourceBudgetError)
 
 
-def sgn(value: float) -> float:
-    """Sign with sgn(0) = +1: -1 for negative arguments and 1 otherwise."""
-    return -1.0 if value < 0 else 1.0
-
-
-def sgn_vec(values: np.ndarray) -> np.ndarray:
-    """Vectorized sgn with the same convention, as an int8 array."""
-    return np.where(np.asarray(values) < 0, -1, 1).astype(np.int8)
+_ROWS = 1 << 16    # rows per block of the float evaluator
 
 
 @dataclass
@@ -102,37 +100,31 @@ class DegTwoPoly:
     def fourier(self) -> dict[tuple[int, ...], float]:
         """Multilinear Fourier coefficients on {-1,1}^n, keyed by sorted
         index tuples; the empty tuple holds constant + trace fold."""
-        coeffs: dict[tuple[int, ...], float] = {}
-        empty = self.constant + self.trace_fold()
-        if empty != 0.0:
-            coeffs[()] = empty
-        for i in range(self.n):
-            if self.linear[i] != 0.0:
-                coeffs[(i,)] = float(self.linear[i])
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                a = 2.0 * self.quad[i, j]
-                if a != 0.0:
-                    coeffs[(i, j)] = a
-        return coeffs
+        coeffs = {(): self.constant + self.trace_fold()}
+        coeffs.update(((i,), float(v)) for i, v in enumerate(self.linear))
+        coeffs.update(((i, j), 2.0 * self.quad[i, j])
+                      for i in range(self.n) for j in range(i + 1, self.n))
+        return {s: v for s, v in coeffs.items() if v != 0.0}
 
     # -- evaluation
 
     def evaluate(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=np.float64)
-        return float(self.constant + self.linear @ x + x @ self.quad @ x)
+        return float(self.evaluate_many(np.asarray(x)[None, :])[0])
 
     def evaluate_many(self, X: np.ndarray) -> np.ndarray:
-        """Values at the rows of X, vectorized."""
-        X = np.asarray(X, dtype=np.float64)
-        return (self.constant + X @ self.linear
-                + np.einsum("ri,ij,rj->r", X, self.quad, X))
+        """Float values at the rows of X: c + X@l + rowsum((X@Q) * X)."""
+        X = np.asarray(X)
+        out = np.empty(X.shape[0])
+        for start in range(0, X.shape[0], _ROWS):
+            B = np.asarray(X[start:start + _ROWS], dtype=np.float64)
+            out[start:start + B.shape[0]] = (self.constant + B @ self.linear
+                                             + np.sum((B @ self.quad) * B, axis=1))
+        return out
 
     def evaluate_multilinear_many(self, X: np.ndarray) -> np.ndarray:
+        """The multilinear form's values (x_i^2 read as 1) at real rows."""
         X = np.asarray(X, dtype=np.float64)
-        off = self.quad - np.diag(np.diag(self.quad))
-        return (self.constant + self.trace_fold() + X @ self.linear
-                + np.einsum("ri,ij,rj->r", X, off, X))
+        return self.evaluate_many(X) + (1.0 - X * X) @ np.diag(self.quad)
 
     # -- restriction
 
@@ -153,6 +145,66 @@ class DegTwoPoly:
         return DegTwoPoly(n=self.n, constant=self.constant * factor,
                           linear=self.linear * factor,
                           quad=self.quad * factor)
+
+
+# --------------------------------------------------------------------------
+# exact arithmetic on the cube
+
+
+def integer_form(p: DegTwoPoly, offset: Union[int, float, Fraction] = 0
+                 ) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """(D, c, l, U), Python ints (l and the strictly upper U in object arrays),
+    with D (p(x) - offset) = c + <l, x> + sum_{i<j} U_ij x_i x_j on the cube.
+    Floats are dyadic, so nothing rounds; the diagonal folds into c exactly."""
+    ratios = [v.as_integer_ratio()
+              for v in np.concatenate([p.linear, p.quad.ravel()]).tolist()]
+    top = max((d for _, d in ratios), default=1)     # dyadic: each d divides top
+    nums = np.array([m * (top // d) for m, d in ratios], dtype=object)
+    quad = nums[p.n:].reshape(p.n, p.n)
+    constant = (Fraction(p.constant) - Fraction(offset)
+                + Fraction(int(np.sum(quad.diagonal())), top))
+    up = math.lcm(top, constant.denominator) // top
+    return (top * up, int(constant * top * up), nums[:p.n] * up,
+            np.triu(quad + quad.T, 1) * up)
+
+
+def signs(p: DegTwoPoly, X: np.ndarray,
+          offset: Union[int, float, Fraction] = 0) -> np.ndarray:
+    """The exact sign of p(x) - offset at the ±1 rows of X, int8 in {-1, 0, 1}."""
+    # A static floating-point filter (Shewchuk 1997).  With c' = c - offset
+    # rounded once, v = c' + X@l + rowsum((X@Q) * X).  At ±1 rows products
+    # are exact and only sums round; an m-term sum in any order (BLAS and
+    # FMA included) is off by gamma_{m-1} = (m-1)u/(1-(m-1)u), u = 2^-53,
+    # times its terms' magnitudes.  So X@l is off by gamma_{n-1} sum|l|, the
+    # quadratic part by (2 gamma_{n-1} + gamma_{n-1}^2) sum|Q|, and c' and
+    # the two additions by 3u S, S = |c'| + sum|l| + sum|Q|: in all
+    # |v - (p(x) - offset)| <= (2n + 3) u S (1 + O(nu)).  The factor 2 below
+    # covers the O(nu) and the rounding of the float sum S.  Rows inside
+    # the bound (all rows when S nears underflow or overflow) are decided by
+    # the integer form, in int64 while its magnitudes sum below 2^62.
+    X = np.asarray(X)
+    out = np.zeros(X.shape[0], dtype=np.int8)
+    try:
+        shifted = float(Fraction(p.constant) - Fraction(offset))
+    except OverflowError:
+        shifted = math.inf
+    with np.errstate(over="ignore"):           # an infinite scale means "all exact"
+        scale = abs(shifted) + float(np.sum(np.abs(p.linear)) + np.sum(np.abs(p.quad)))
+    unsure = np.arange(X.shape[0])
+    if 2.0 ** -900 < scale < 2.0 ** 1000:
+        v = DegTwoPoly(p.n, shifted, p.linear, p.quad).evaluate_many(X)
+        sure = np.abs(v) > 2 * (2 * p.n + 3) * 2.0 ** -53 * scale
+        out[sure] = np.sign(v[sure])
+        unsure = np.flatnonzero(~sure)
+    if unsure.size:
+        den, c, lin, pairs = integer_form(p, offset)
+        reach = abs(c) + np.sum(np.abs(lin)) + np.sum(np.abs(pairs))
+        kind = np.int64 if reach < 2 ** 62 else object
+        Z = X[unsure].astype(kind)
+        exact = (c + Z @ lin.astype(kind)
+                 + np.sum((Z @ pairs.astype(kind)) * Z, axis=1))
+        out[unsure] = np.sign(exact)
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from . import config
 from .cube import all_points
 from .errors import ConfigurationError, FormatError
 from .poly import (DegTwoPoly, dumps_poly, influences, loads_poly,
-                   read_ascii, regularity, sgn_vec)
+                   read_ascii, regularity, signs)
 from .spaces import SampleSpace, build_kwise_bernoulli
 
 REGULAR = "regular"
@@ -128,8 +128,7 @@ def classify_leaf(p_rho: DegTwoPoly, tau: float,
         if rep.is_regular:
             return Classification(kind=REGULAR, max_ratio=ratio)
 
-    signs = sgn_vec(p_rho.evaluate_many(test_space.points.astype(np.float64)))
-    pr_pos = test_space.probability(signs > 0)
+    pr_pos = test_space.probability(signs(p_rho, test_space.points) >= 0)
     b = 1 if pr_pos >= Fraction(1, 2) else -1
     disagreement = 1 - pr_pos if b == 1 else pr_pos
     kind = CLOSE_TO_CONSTANT if disagreement <= tau else BAD
@@ -457,7 +456,11 @@ def _obj_to_node(obj, depth: int,
 
 
 def load_tree(path) -> DecisionTree:
-    root = _obj_to_node(json.loads(read_ascii(path, "tree")), 0, ())
+    try:
+        obj = json.loads(read_ascii(path, "tree"))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"tree file {path}: {exc}") from None
+    root = _obj_to_node(obj, 0, ())
     first = root if isinstance(root, Leaf) else next(
         leaf for leaf in DecisionTree(n=0, root=root).leaves())
     tree = DecisionTree(n=first.poly.n, root=root)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,19 @@ def random_poly(n: int, rng: np.random.Generator, with_linear: bool = True,
     lin = rng.normal(size=n) if with_linear else np.zeros(n)
     const = float(rng.normal()) if with_constant else 0.0
     return DegTwoPoly(n=n, constant=const, linear=lin, quad=A)
+
+
+def fraction_values(p: DegTwoPoly, points) -> list[Fraction]:
+    """p at each ±1 row in Fractions, straight from its stored floats."""
+    out = []
+    for x in np.asarray(points).tolist():
+        v = Fraction(p.constant)
+        for i in range(p.n):
+            v += Fraction(p.linear[i]) * x[i]
+            for j in range(p.n):
+                v += Fraction(p.quad[i, j]) * x[i] * x[j]
+        out.append(v)
+    return out
 
 
 def random_regular_poly(n: int, tau: float, rng: np.random.Generator,

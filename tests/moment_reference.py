@@ -17,7 +17,12 @@ from ptffool.poly import DegTwoPoly
 
 def moment_xor_convolution(p: DegTwoPoly, k: int) -> Fraction:
     """E[p(x)^k] by k rational convolutions of p's Fourier expansion."""
-    base = {subset_mask(s): Fraction(float(v)) for s, v in p.fourier().items()}
+    base: dict[int, Fraction] = {0: Fraction(p.constant)}
+    for i in range(p.n):
+        base[0] += Fraction(p.quad[i, i])          # x_i^2 = 1, folded exactly
+        base[subset_mask((i,))] = Fraction(p.linear[i])
+        for j in range(i + 1, p.n):
+            base[subset_mask((i, j))] = 2 * Fraction(p.quad[i, j])
     acc: dict[int, Fraction] = {0: Fraction(1)}
     for _ in range(k):
         nxt: dict[int, Fraction] = {}

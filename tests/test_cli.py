@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -383,3 +384,32 @@ def test_non_finite_coefficients_exit_64(tmp_path, record, command):
     path = tmp_path / "bad.poly"
     path.write_text(f"2\nQ 1 2 1.0\n{record}\n")
     assert main(command + ["--poly", str(path)]) == 64
+
+
+def test_fool_lp_counts_exact_zeros(tmp_path):
+    # -2^53 + 2^53 x1 + x2 + x3 vanishes at (1, 1, -1), where floats say -1
+    poly_path, rep_path = tmp_path / "p.poly", str(tmp_path / "r.json")
+    poly_path.write_text("3\nC -9007199254740992\nL 1 9007199254740992\n"
+                         "L 2 1\nL 3 1\n")
+    assert main(["fool", "lp", "--poly", str(poly_path), "--k", "1",
+                 "--report", rep_path]) == 0
+    assert _read_report(rep_path)["uniform_expectation"] == "-1/4"
+
+
+def test_moments_value_exact_folds_the_diagonal_exactly(tmp_path):
+    poly_path, rep_path = tmp_path / "p.poly", str(tmp_path / "r.json")
+    poly_path.write_text("1\nC 9007199254740992\nQ 1 1 1\n")
+    assert main(["moments", "--poly", str(poly_path), "--k", "2",
+                 "--report", rep_path]) == 0
+    assert _read_report(rep_path)["value_exact"] == str((2 ** 53 + 1) ** 2)
+
+
+def test_embedding_with_a_huge_vertex_id_fails_fast(tmp_path, capsys):
+    gw.dump_graph(gw.single_edge(), tmp_path / "g.graph")
+    (tmp_path / "e.emb").write_text("1 2 1.0 0.0\n10000000 2 -1.0 0.0\n")
+    start = time.perf_counter()
+    assert main(["gw", "round", "--graph", str(tmp_path / "g.graph"),
+                 "--embedding", str(tmp_path / "e.emb"), "--k", "2"]) == 64
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "vertex 2 is missing" in err and len(err) < 1024

@@ -145,3 +145,42 @@ def test_deviation_order_invariant_random(salt):
     a = fooling.worst_case_lp(p, 1, emit_witness=False).deviation
     b = fooling.worst_case_lp(p, 3, emit_witness=False).deviation
     assert b <= a + 1e-7
+
+
+# --------------------------------------------------------------------------
+# exact zeros that float evaluation gets wrong
+
+
+def tie_poly() -> DegTwoPoly:
+    """-2^53 + 2^53 x1 + x2 + x3: exactly 0 at (1, 1, -1) and (1, -1, 1),
+    where float evaluation returns -1 and 0, and 2 at (1, 1, 1), where it
+    returns 0."""
+    return DegTwoPoly.from_terms(3, -2.0 ** 53, {0: 2.0 ** 53, 1: 1.0, 2: 1.0})
+
+
+def test_sgn_values_at_exact_zeros():
+    from ptffool.cube import all_points
+    p = tie_poly()
+    assert fooling.sgn_values(p).tolist() == [1, -1, 1, -1, 1, -1, -1, -1]
+    assert fooling.exact_sgn_expectation(p) == Fraction(-1, 4)
+    zero = spaces.SampleSpace(n=3, k_claimed=0, points=all_points(3)[[4]],
+                              method="explicit")
+    assert fooling.exact_sgn_expectation(p, zero) == 1
+
+
+def test_intersection_membership_at_exact_zeros():
+    rep = fooling.intersection_deviation([tie_poly()], 1)
+    assert rep.uniform_expectation == Fraction(3, 8)
+
+
+def test_anticoncentration_probe_at_its_exact_boundary():
+    from ptffool.cube import all_points
+    # q = x1 + 2^-60 x2 normalizes to itself; with t = 2^-60 and eps' = 1,
+    # q - t - eps' is exactly 0 at (1, 1), and |q - t| = 1 - 2^-59 < eps'
+    # at (1, -1), where float evaluation rounds q to 1
+    p = DegTwoPoly.from_terms(2, linear={0: 1.0, 1: 2.0 ** -60})
+    cube = spaces.SampleSpace(n=2, k_claimed=2, points=all_points(2),
+                              method="explicit")
+    rep = fooling.anticoncentration_probe(p, eps_prime=1.0, t=2.0 ** -60,
+                                          space=cube)
+    assert rep.exact == Fraction(1, 4)

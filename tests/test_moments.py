@@ -162,3 +162,19 @@ def test_fourier_moment_exact_value_on_a_dyadic_polynomial():
         assert moments.moment_fourier_exact(p, k) == sum(v ** k for v in vals) / 4
     with pytest.raises(ResourceBudgetError):
         moments.moment_fourier_exact(DegTwoPoly(n=13), 2)
+
+
+def test_exact_moment_folds_the_diagonal_exactly():
+    # 2^53 + x1^2 is 2^53 + 1 on the cube, which no float holds
+    p = DegTwoPoly.from_terms(1, 2.0 ** 53, quad_terms={(0, 0): 1.0})
+    assert moments.exact_moment_hypercube(p, 2).value_exact == (2 ** 53 + 1) ** 2
+    assert moment_xor_convolution(p, 2) == (2 ** 53 + 1) ** 2
+
+
+def test_trace_centering_drops_the_diagonal(rng):
+    A = rng.normal(size=(5, 5))
+    A = 0.5 * (A + A.T)
+    rep = moments.exact_moment_hypercube(DegTwoPoly(n=5, quad=A), 2, center="trace")
+    off = A - np.diag(np.diag(A))
+    assert rep.value_exact == moments.moment_fourier_exact(DegTwoPoly(n=5, quad=off), 2)
+    assert rep.value == pytest.approx(2 * float(np.sum(off ** 2)), rel=1e-12)

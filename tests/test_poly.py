@@ -1,17 +1,20 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_poly
+from conftest import fraction_values, random_poly
+from cube_reference import poly_values_gray
 from ptffool import config
-from ptffool.cube import all_points, poly_values, poly_values_gray
+from ptffool.cube import all_points, poly_values
 from ptffool.errors import (ConfigurationError, ContractViolationError,
                             ConvergenceError, DegenerateInputError,
                             FormatError, ResourceBudgetError)
 from ptffool.poly import (DegTwoPoly, critical_index, dump_poly,
                           dumps_poly, eigendecompose_symmetric,
-                          evaluate_mp, influences, load_poly, loads_poly,
-                          regularity, spectral_decompose)
+                          evaluate_mp, influences, integer_form, load_poly,
+                          loads_poly, regularity, signs, spectral_decompose)
 
 
 def test_from_terms_monomial_convention():
@@ -206,3 +209,100 @@ def test_eigendecompose_orders_eigenvalues_descending():
     dec = eigendecompose_symmetric(np.diag([1.0, -3.0, 2.0]))
     assert dec.eigenvalues.tolist() == [2.0, 1.0, -3.0]
     assert np.array_equal(np.abs(dec.eigenvectors), np.eye(3)[:, [2, 0, 1]])
+
+
+# --------------------------------------------------------------------------
+# exact signs
+
+
+_dyadic = st.builds(lambda m, e: m * 2.0 ** e,
+                    st.integers(-64, 64), st.integers(-30, 70))
+
+
+@st.composite
+def _tight_polys(draw):
+    """Polynomials whose float values round or hit exact zeros: random
+    dyadic coefficients over a wide exponent range, a(x1x2 - x3x4) + b,
+    and -2^53 s + 2^53 x1 + x2 + x3 plus small terms."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["random", "cancel", "2^53"]))
+    linear, quad = {}, {}
+    if kind == "random":
+        constant = draw(_dyadic)
+        linear = {i: draw(_dyadic) for i in range(n) if draw(st.booleans())}
+        quad = {(i, j): draw(_dyadic) for i in range(n) for j in range(i, n)
+                if draw(st.booleans())}
+    elif kind == "cancel" and n >= 4:
+        a = draw(_dyadic)
+        constant = draw(st.sampled_from([0.0, a, -a, 2 * a, draw(_dyadic)]))
+        quad = {(0, 1): a, (2, 3): -a}
+    else:
+        constant = -(2.0 ** 53) * draw(st.sampled_from([1, -1, 3]))
+        linear = {0: 2.0 ** 53, **{i: draw(_dyadic) for i in range(1, n)}}
+        if n >= 2:
+            quad[(0, 1)] = draw(st.sampled_from([0.0, 1.0, 2.0 ** 52]))
+            quad[(n - 1, n - 1)] = draw(_dyadic)
+    offset = draw(st.one_of(st.just(0), _dyadic,
+                            st.builds(Fraction, st.integers(-10 ** 20, 10 ** 20),
+                                      st.integers(1, 10 ** 6))))
+    return DegTwoPoly.from_terms(n, constant, linear, quad), offset
+
+
+@settings(max_examples=80, deadline=None)
+@given(_tight_polys())
+def test_signs_match_fraction_evaluation(case):
+    p, offset = case
+    points = all_points(p.n)
+    expected = [(v > offset) - (v < offset) for v in fraction_values(p, points)]
+    got = signs(p, points, offset)
+    assert got.dtype == np.int8 and got.tolist() == expected
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** 70, 2.0 ** 1023, 2.0 ** -1060])
+def test_signs_exact_zeros_on_half_the_cube(scale):
+    # x1x2 - x3x4 vanishes on half the cube; 2^70 needs Python ints in the
+    # exact path, and 2^1023 (whose magnitudes overflow a float sum) and
+    # 2^-1060 (subnormal) skip the float filter
+    p = DegTwoPoly.from_terms(4, quad_terms={(0, 1): scale, (2, 3): -scale})
+    pts = all_points(4)
+    assert signs(p, pts).tolist() == (pts[:, 0] * pts[:, 1]
+                                      - pts[:, 2] * pts[:, 3]).clip(-1, 1).tolist()
+
+
+@pytest.mark.parametrize("n", [9, 17])
+def test_signs_where_rounding_errors_accumulate(n):
+    # 2^53 plus n - 1 ones, less their exact sum: each 1 added to 2^53 may
+    # round away, so the float error grows with n; a bound without the
+    # factor n lets some summation order through with the wrong sign
+    X = np.ones((1, n), dtype=np.int8)
+    for pos in range(n):
+        lin = {i: 1.0 for i in range(n)}
+        lin[pos] = 2.0 ** 53
+        p = DegTwoPoly.from_terms(n, -(2.0 ** 53) - (n - 1), lin)
+        pairs = {(0, j): 1.0 for j in range(1, n)}
+        pairs[(0, max(pos, 1))] = 2.0 ** 53
+        q = DegTwoPoly.from_terms(n, -(2.0 ** 53) - (n - 2), {}, pairs)
+        for poly in (p, q):
+            v = fraction_values(poly, X)[0]
+            assert signs(poly, X).tolist() == [(v > 0) - (v < 0)]
+
+
+def test_integer_form_folds_the_diagonal_exactly():
+    p = DegTwoPoly.from_terms(2, 2.0 ** 53, {1: 0.5}, {(0, 0): 1.0, (0, 1): 3.0})
+    den, constant, linear, pairs = integer_form(p, Fraction(1, 3))
+    assert (den, constant) == (6, 6 * (2 ** 53 + 1) - 2)
+    assert linear.tolist() == [0, 3] and pairs.tolist() == [[0, 18], [0, 0]]
+
+
+def test_multilinear_evaluation_folds_the_diagonal(rng):
+    p = random_poly(5, rng)
+    p = DegTwoPoly(n=5, constant=p.constant, linear=p.linear,
+                   quad=p.quad + np.diag(rng.normal(size=5)))
+    G = rng.normal(size=(7, 5))
+    off = p.quad - np.diag(np.diag(p.quad))
+    direct = [p.constant + p.trace_fold() + p.linear @ g + g @ off @ g for g in G]
+    assert np.allclose(p.evaluate_multilinear_many(G), direct, atol=1e-12)
+    pts = all_points(5)
+    assert np.allclose(p.evaluate_multilinear_many(pts), p.evaluate_many(pts),
+                       atol=1e-12)

@@ -177,6 +177,21 @@ def test_load_rejects_non_ascii_bytes(tmp_path, rng):
         tree.load_tree(path)
 
 
+def test_load_rejects_malformed_json(tmp_path):
+    path = tmp_path / "t.json"
+    path.write_text("{bad")
+    with pytest.raises(FormatError):
+        tree.load_tree(path)
+
+
+def test_classify_leaf_counts_exact_zeros_as_positive():
+    # -2^53 + 2^53 x1 + x2 + x3 is >= 0 at 3 of 8 points; float evaluation
+    # sees 2 of them and would call the leaf close to constant at tau = 0.3
+    p = DegTwoPoly.from_terms(3, -2.0 ** 53, {0: 2.0 ** 53, 1: 1.0, 2: 1.0})
+    cls = tree.classify_leaf(p, 0.3, tree.default_test_space(3, 0.3))
+    assert (cls.kind, cls.sign, cls.disagreement) == (tree.BAD, -1, Fraction(3, 8))
+
+
 def test_default_test_space_order():
     assert tree.test_space_order(0.25) >= 4
     assert tree.test_space_order(0.01) >= 2 * 6 + 2  # ceil(2 log2 100) + margin

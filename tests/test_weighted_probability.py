@@ -1,7 +1,7 @@
 """The four exact weighted sums (sign expectation, anticoncentration,
 leaf classification, tree reach) against plain Fraction sums over rows,
 on weighted spaces whose common denominator fits int64 and one whose
-denominator does not."""
+denominator does not.  Polynomial values are Fractions, point by point."""
 
 import random
 from fractions import Fraction
@@ -9,10 +9,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_poly
+from conftest import fraction_values, random_poly
 from ptffool import fooling, spaces, tree
 from ptffool.cube import all_points
-from ptffool.poly import DegTwoPoly, sgn_vec
+from ptffool.poly import DegTwoPoly
 
 N = 4
 BIG_PRIME = 2 ** 89 - 1         # every weight has this denominator: above int64
@@ -46,23 +46,25 @@ def _mass(space, mask) -> Fraction:
 def test_sgn_expectation(space, rng):
     for _ in range(5):
         p = random_poly(N, rng)
-        signs = sgn_vec(p.evaluate_many(space.points))
-        expected = sum((w * int(s) for w, s in zip(space.weights, signs)), Fraction(0))
+        values = fraction_values(p, space.points)
+        expected = sum((w if v >= 0 else -w for w, v in zip(space.weights, values)),
+                       Fraction(0))
         assert fooling.exact_sgn_expectation(p, space) == expected
 
 
 def test_anticoncentration_probe(space, rng):
     p = random_poly(N, rng)
-    vals = fooling._normalized(p).evaluate_many(space.points)
+    vals = fraction_values(fooling._normalized(p), space.points)
     for t in (-0.5, 0.0, 0.7):
         rep = fooling.anticoncentration_probe(p, 0.6, t, space)
-        assert rep.exact == _mass(space, np.abs(vals - t) < 0.6)
+        assert rep.exact == _mass(space, [abs(v - Fraction(t)) < Fraction(0.6)
+                                          for v in vals])
 
 
 def test_classify_leaf(space):
     # x1 carries almost all the influence, so the leaf is never regular
     p = DegTwoPoly.from_terms(N, 0.5, {0: 3.0}, {(1, 2): 0.4, (2, 3): -0.3})
-    pos = _mass(space, sgn_vec(p.evaluate_many(space.points)) > 0)
+    pos = _mass(space, [v >= 0 for v in fraction_values(p, space.points)])
     cls = tree.classify_leaf(p, 0.3, space)
     assert cls.disagreement == min(pos, 1 - pos)
     assert cls.sign == (1 if pos >= Fraction(1, 2) else -1)
