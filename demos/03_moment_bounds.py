@@ -18,7 +18,7 @@ target = 4.0 * float(np.sum(np.triu(A, 1) ** 2))
 print(f"E[(x'Ax)^2] = {rep.value:.12f}")
 print(f"4*sum A_ij^2 = {target:.12f}   (gap {abs(rep.value - target):.2e})")
 
-# higher even moments stay under max(sqrt(k)||A||_F, k lam_max)^k with a
+# higher even moments stay under max(sqrt(k)||A||_F, k ||A||_op)^k with a
 # universal constant; the report's ratio is the k-th root comparison
 for k in (2, 4, 6, 8):
     r = eigenbound_ratio(A, k)

@@ -15,9 +15,9 @@ __version__ = "0.1.0"
 
 from .config import RunConfig
 from .errors import (ConfigurationError, ContractViolationError,
-                     ConvergenceError, DecompositionCorruptError,
-                     DegenerateInputError, FormatError, InconclusiveError,
-                     InvalidOrderError, PtfFoolError, ResourceBudgetError)
+                     ConvergenceError, DegenerateInputError, FormatError,
+                     InconclusiveError, InvalidOrderError, PtfFoolError,
+                     ResourceBudgetError)
 from .fooling import (anticoncentration_probe, deviation,
                       exact_sgn_expectation, indicator_expectation,
                       intersection_deviation, lp_sweep, worst_case_lp)
@@ -41,8 +41,7 @@ __all__ = [
     "RunConfig",
     "PtfFoolError", "InvalidOrderError", "ResourceBudgetError",
     "ConfigurationError", "ContractViolationError", "DegenerateInputError",
-    "ConvergenceError", "DecompositionCorruptError",
-    "FormatError", "InconclusiveError",
+    "ConvergenceError", "FormatError", "InconclusiveError",
     "SampleSpace", "GaussianSpace", "build_kwise_bernoulli",
     "build_kwise_gaussian", "verify_kwise_exact", "sample",
     "dump_sample_space", "load_sample_space",

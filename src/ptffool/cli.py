@@ -10,7 +10,8 @@ Exit codes follow a small contract:
 
   0   everything the command checked passed
   1   at least one check failed
-  2   nothing failed but at least one check was inconclusive
+  2   nothing failed but at least one check was inconclusive, or a
+      resource budget ran out before the check could finish
   64  the invocation itself was invalid (bad flag, malformed file)
 
 Randomness never comes from global state.  Every generator is
@@ -37,7 +38,7 @@ import numpy as np
 from . import __version__, config, fooling, gw, moments, mollify, spaces, tree
 from .config import RunConfig
 from .errors import (ConfigurationError, FormatError, InconclusiveError,
-                     InvalidOrderError, PtfFoolError)
+                     InvalidOrderError, PtfFoolError, ResourceBudgetError)
 from .poly import (DegTwoPoly, critical_index, influences, load_poly,
                    regularity, spectral_decompose)
 
@@ -419,7 +420,15 @@ def _suite_checks(quick: bool):
         rep = tree.tree_report(t, p)
         yield "product tree mass accounting", (
             rep.mass_by_class[tree.CLOSE_TO_CONSTANT] == 1 and rep.depth == 2)
-        yield "tree composition probes", rep.composition_check.passed
+        yield "product tree leaves are exact restrictions", rep.composition_check.passed
+        q = DegTwoPoly.from_terms(
+            5, 2.0 ** 53, {0: 1.0, 1: -1.0, 2: 2.0 ** 53, 3: -1.0, 4: -1.0},
+            {(0, 2): 2.0 ** 53, (0, 3): 1.0, (0, 4): 2.0 ** 54,
+             (1, 2): 2.0 ** 54, (2, 3): -1.0, (3, 4): 2.0 ** 53})
+        rep = tree.tree_report(tree.build_tree(q, 0.2), q)
+        yield "2^54-scale tree: exact disagreement mass 1/32", (
+            rep.deviation.close_disagreement_mass == Fraction(1, 32)
+            and rep.composition_check.passed)
 
     def gwc():
         g = gw.single_edge()
@@ -590,7 +599,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 64
-    except InconclusiveError as exc:
+    except (InconclusiveError, ResourceBudgetError) as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 2
     except PtfFoolError as exc:

@@ -48,10 +48,6 @@ WITNESS_REPAIR_MAX_SUPPORT = 4096
 #: routed to the small-eigenvalue bucket so the split is stable.
 SPECTRAL_TIE_TOL = 1e-12
 
-#: Square-root arguments in the mixed evaluation map are clamped to zero
-#: above this floor; anything more negative is treated as corruption.
-SQRT_CLAMP_FLOOR = -1e-6
-
 #: Reconstruction tolerance for the three-way quadratic split.
 SPECTRAL_RECONSTRUCT_TOL = 1e-10
 

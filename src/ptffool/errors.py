@@ -41,11 +41,6 @@ class ConvergenceError(PtfFoolError, RuntimeError):
     its termination tolerance."""
 
 
-class DecompositionCorruptError(PtfFoolError, RuntimeError):
-    """A value that is nonnegative by construction came back materially
-    negative, indicating a corrupted decomposition rather than roundoff."""
-
-
 class FormatError(PtfFoolError, ValueError):
     """A text input does not conform to one of the documented file formats."""
 

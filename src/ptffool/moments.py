@@ -174,7 +174,8 @@ def eigenbound_ratio(A: np.ndarray, k: int, strict: bool = True
                      ) -> MomentReport:
     """Trace-centered quadratic-form moment against its spectral bound.
 
-    ratio = E[|x'Ax - tr A|^k]^{1/k} / max(sqrt(k)*||A||_F, k*lam_max).
+    ratio = E[|x'Ax - tr A|^k]^{1/k} / max(sqrt(k)*||A||_F, k*||A||_op),
+    with the operator norm ||A||_op = max |lambda|.
     The proof's explicit constant is 128; exceeding it means a real
     defect somewhere, so strict mode raises rather than returning a
     failed report.
@@ -190,8 +191,8 @@ def eigenbound_ratio(A: np.ndarray, k: int, strict: bool = True
     if fro == 0.0:
         return MomentReport(k=k, exact_or_mc="exact", value=0.0, bound=0.0,
                             ratio=0.0, passed=True, value_exact=Fraction(0))
-    lam_max = float(np.max(eigendecompose_symmetric(A).eigenvalues))
-    base = max(math.sqrt(k) * fro, k * lam_max)
+    op_norm = float(np.max(np.abs(eigendecompose_symmetric(A).eigenvalues)))
+    base = max(math.sqrt(k) * fro, k * op_norm)
     ratio = rep.value ** (1.0 / k) / base
     passed = ratio <= config.EIGENBOUND_CONST
     if strict and not passed:
@@ -218,28 +219,6 @@ def khintchine_check(a: np.ndarray, k: int) -> MomentReport:
     return MomentReport(k=k, exact_or_mc="exact", value=rep.value, bound=bound,
                         ratio=ratio, passed=rep.value <= bound + 1e-12,
                         value_exact=rep.value_exact)
-
-
-def boundmoment_check(p: DegTwoPoly, k: int) -> MomentReport:
-    """Fitted constant for E[|x'Ax|^k] <= c^k (||A||_F k^k + |tr A|^k).
-
-    The stated constant is asymptotic, so this is report-only: ratio
-    holds the smallest c making the inequality tight and passed is
-    always True.  Linear and constant parts of p are ignored.
-    """
-    A = p.quad
-    n = p.n
-    _require_enumerable(n, k)
-    form = DegTwoPoly(n=n, quad=A)
-    vals = cube.poly_values(form)
-    value = _chunked_mean(vals, lambda v: np.abs(v) ** k)
-    base = frobenius(A) * k ** float(k) + abs(float(np.trace(A))) ** k
-    if base == 0.0:
-        fitted = 0.0 if value == 0.0 else math.inf
-    else:
-        fitted = (value / base) ** (1.0 / k)
-    return MomentReport(k=k, exact_or_mc="exact", value=value, bound=base,
-                        ratio=fitted, passed=True)
 
 
 # --------------------------------------------------------------------------

@@ -28,8 +28,8 @@ import numpy as np
 
 from . import config
 from .errors import (ConfigurationError, ContractViolationError,
-                     ConvergenceError, DecompositionCorruptError,
-                     DegenerateInputError, FormatError, ResourceBudgetError)
+                     ConvergenceError, DegenerateInputError, FormatError,
+                     ResourceBudgetError)
 
 
 _ROWS = 1 << 16    # rows per block of the float evaluator
@@ -125,21 +125,6 @@ class DegTwoPoly:
         """The multilinear form's values (x_i^2 read as 1) at real rows."""
         X = np.asarray(X, dtype=np.float64)
         return self.evaluate_many(X) + (1.0 - X * X) @ np.diag(self.quad)
-
-    # -- restriction
-
-    def restrict(self, var: int, value: int) -> "DegTwoPoly":
-        """Substitute x_var = value (±1); the variable leaves the support."""
-        if value not in (-1, 1):
-            raise ConfigurationError("restriction value must be ±1")
-        lin = self.linear.copy()
-        quad = self.quad.copy()
-        const = self.constant + value * lin[var] + quad[var, var]
-        lin = lin + 2.0 * value * quad[:, var]
-        lin[var] = 0.0
-        quad[var, :] = 0.0
-        quad[:, var] = 0.0
-        return DegTwoPoly(n=self.n, constant=const, linear=lin, quad=quad)
 
     def scale(self, factor: float) -> "DegTwoPoly":
         return DegTwoPoly(n=self.n, constant=self.constant * factor,
@@ -333,11 +318,6 @@ class SpectralDecomposition:
     upsilon: float
     eigen: EigenDecomposition = field(repr=False)
 
-    def part_value(self, which: int, x: np.ndarray) -> float:
-        A = (self.a1, self.a2, self.a3)[which - 1]
-        x = np.asarray(x, dtype=np.float64)
-        return float(x @ A @ x)
-
     def reconstruction(self) -> np.ndarray:
         return self.a1 - self.a2 + self.a3
 
@@ -394,27 +374,6 @@ def spectral_decompose(p: DegTwoPoly, delta: float) -> SpectralDecomposition:
     return SpectralDecomposition(n=p.n, delta=delta, a1=a1, a2=a2, a3=a3,
                                  linear=p.linear.copy(), constant=p.constant,
                                  upsilon=upsilon, eigen=dec)
-
-
-def evaluate_mp(dec: SpectralDecomposition, x: np.ndarray) -> np.ndarray:
-    """The four-coordinate evaluation map of a decomposed polynomial:
-    (sqrt(p1), sqrt(p2), p3 - Upsilon, p4).
-
-    The PSD parts are nonnegative up to roundoff; tiny negatives are
-    clamped, materially negative values mean the decomposition is
-    corrupt and raise.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    vals = []
-    for which in (1, 2):
-        v = dec.part_value(which, x)
-        if v < config.SQRT_CLAMP_FLOOR:
-            raise DecompositionCorruptError(
-                f"PSD part {which} evaluated to {v}, below the clamp floor")
-        vals.append(math.sqrt(max(v, 0.0)))
-    vals.append(dec.part_value(3, x) - dec.upsilon)
-    vals.append(float(dec.linear @ x))
-    return np.array(vals)
 
 
 # --------------------------------------------------------------------------

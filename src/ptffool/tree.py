@@ -1,23 +1,24 @@
 """Restriction trees that reduce an arbitrary PTF to regular pieces.
 
-Each internal node fixes one variable to -1 or +1 (always the currently
-most influential one, so the construction is deterministic).  A leaf
-holds the restricted polynomial together with a verdict: already
-influence-regular at the requested tau, close to a constant sign under a
-k-wise test distribution, or bad, meaning still irregular when the depth
-budget ran out.  Reach probabilities are dyadic rationals and are handled
-exactly throughout, so mass accounting never drifts.
+Each internal node fixes the currently most influential variable to -1
+or +1.  A leaf is influence-regular at the requested tau, close to a
+constant sign on its subcube, or bad: still irregular when the depth
+budget ran out.  Reach probabilities are exact dyadic rationals.
 
-Classification order matters.  A polynomial with no remaining variable
-dependence has no influence ratio to test (the ratio is 0/0 there), so it
-is routed straight to the close-to-constant case, where it trivially
-lands with disagreement zero.
+Trees run on the whole cube from one exact evaluation: p's sign at every
+cube point and p's integer form (``poly.integer_form``), each taken once.
+On a node's subcube p_rho = p, so its disagreement counts the root's
+signs over its rows; its influences (if none are left, it goes straight
+to the close-to-constant test) come from p_rho's integer form.  Leaf
+polynomials are for display, rounded once per coefficient from the exact
+restriction, and ``poly_rounded`` marks those that rounding changed.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Union
@@ -27,17 +28,19 @@ import numpy as np
 from . import config
 from .cube import all_points
 from .errors import ConfigurationError, FormatError
-from .poly import (DegTwoPoly, dumps_poly, influences, loads_poly,
-                   read_ascii, regularity, signs)
-from .spaces import SampleSpace, build_kwise_bernoulli
+from .poly import (DegTwoPoly, dumps_poly, integer_form, loads_poly,
+                   read_ascii, signs)
+from .spaces import SampleSpace
 
 REGULAR = "regular"
 CLOSE_TO_CONSTANT = "close_to_constant"
 BAD = "bad"
 
+Path = tuple[tuple[int, int], ...]      # ((variable, value), ...) root first
+
 
 # --------------------------------------------------------------------------
-# derived parameters
+# derived parameters and leaf classification
 
 
 def test_space_order(tau: float) -> int:
@@ -59,56 +62,39 @@ def default_max_depth(tau: float) -> int:
     return min(raw, config.TREE_DEPTH_CAP)
 
 
-def _uniform_cube_space(n: int, k_claimed: int) -> SampleSpace:
-    # The uniform distribution on the whole cube is k-wise independent for
-    # every k, so claiming the requested order is truthful.
-    return SampleSpace(n=n, k_claimed=k_claimed, points=all_points(n),
-                       method="uniform_cube")
-
-
 def default_test_space(n: int, tau: float) -> SampleSpace:
-    """Smallest exact test space of the required independence order.
-
-    For every n this package's LP harness can touch, the full cube is
-    smaller than a seed-enumerated k-wise construction and is exactly
-    independent at every order, so it wins below ENUM_MAX_N.  Beyond
-    that the bit-matrix construction takes over.
-    """
-    order = test_space_order(tau)
-    if n <= config.ENUM_MAX_N:
-        return _uniform_cube_space(n, order)
-    return build_kwise_bernoulli(n, order)
-
-
-# --------------------------------------------------------------------------
-# leaf classification
+    """The whole cube, which is independent at every order; above
+    ENUM_MAX_N variables its cap raises ResourceBudgetError."""
+    return SampleSpace(n=n, k_claimed=test_space_order(tau),
+                       points=all_points(n), method="uniform_cube")
 
 
 @dataclass(frozen=True)
 class Classification:
-    """Verdict for one restricted polynomial.
-
-    ``sign`` and ``disagreement`` are set whenever the close-to-constant
-    test ran (so also on bad leaves, where they record how badly the test
-    missed).  ``max_ratio`` is the influence ratio when it exists.
-    """
+    """Verdict for one restricted polynomial.  ``sign`` and ``disagreement``
+    are set whenever the close-to-constant test ran (so also on bad leaves,
+    where they record how badly the test missed)."""
 
     kind: str
     sign: Optional[int] = None
     disagreement: Optional[Fraction] = None
-    max_ratio: Optional[float] = None
+
+
+def _verdict(inf: np.ndarray, pr_pos: Fraction, tau: float) -> Classification:
+    """The verdict from exact influences (ints on any scale) and Pr[p_rho >= 0]."""
+    total = sum(inf)
+    if total and Fraction(max(inf), total) <= tau:
+        return Classification(kind=REGULAR)
+    b, disagreement = (1, 1 - pr_pos) if 2 * pr_pos >= 1 else (-1, pr_pos)
+    kind = CLOSE_TO_CONSTANT if disagreement <= tau else BAD
+    return Classification(kind=kind, sign=b, disagreement=disagreement)
 
 
 def classify_leaf(p_rho: DegTwoPoly, tau: float,
                   test_space: SampleSpace) -> Classification:
-    """Classify a restricted polynomial as regular, close to constant, or bad.
-
-    Regularity is checked first (a pure influence computation).  Failing
-    that, the exact probability that sgn(p_rho) disagrees with its
-    majority sign under ``test_space`` decides between close-to-constant
-    and bad.  The probability is a Fraction; the comparison against tau
-    is exact.
-    """
+    """Classify p_rho as regular (by its exact influences), else as close
+    to constant or bad by the exact probability under ``test_space`` that
+    sgn(p_rho) disagrees with its majority sign."""
     if not 0.0 < tau < 0.5:
         raise ConfigurationError("tau must lie in (0, 1/2)")
     if test_space.n != p_rho.n:
@@ -119,21 +105,50 @@ def classify_leaf(p_rho: DegTwoPoly, tau: float,
         raise ConfigurationError(
             f"test space order {test_space.k_claimed} is below the "
             f"required {floor} for tau={tau}")
-
-    inf, total = influences(p_rho)
-    ratio = None
-    if total > 0.0:
-        rep = regularity(p_rho, tau)
-        ratio = rep.max_ratio
-        if rep.is_regular:
-            return Classification(kind=REGULAR, max_ratio=ratio)
-
+    inf = _ExactForm(p_rho).restrict(())[2]
     pr_pos = test_space.probability(signs(p_rho, test_space.points) >= 0)
-    b = 1 if pr_pos >= Fraction(1, 2) else -1
-    disagreement = 1 - pr_pos if b == 1 else pr_pos
-    kind = CLOSE_TO_CONSTANT if disagreement <= tau else BAD
-    return Classification(kind=kind, sign=b, disagreement=disagreement,
-                          max_ratio=ratio)
+    return _verdict(inf, pr_pos, tau)
+
+
+class _ExactForm:
+    """D p(x) = c + <l, x> + sum_{i<j} U_ij x_i x_j + sum_i d_i x_i^2 in Python
+    ints, restricted along any path exactly.  The diagonal d = D diag(Q)
+    is kept apart so that display polynomials keep it on free variables."""
+
+    def __init__(self, p: DegTwoPoly):
+        den, c, self.lin, pairs = integer_form(p)
+        self.quad, self.den = p.quad, den
+        self.diag = np.array([int(Fraction(v) * den)
+                              for v in np.diag(p.quad).tolist()], dtype=object)
+        self.c = c - sum(self.diag)
+        self.pairs = pairs + pairs.T
+        self.squares = self.pairs * self.pairs
+
+    def restrict(self, path: Path):
+        """(c, l, Inf, free) of D p_rho, where p_rho fixes x_v = s for each
+        (v, s) on ``path``; Inf_i = l_i^2 + sum_j U_ij^2 over free j."""
+        x = np.zeros(len(self.lin), dtype=object)
+        for v, s in path:
+            x[v] = s
+        free = x == 0
+        c = self.c + sum(self.diag[~free]) + self.lin @ x + x @ self.pairs @ x // 2
+        lin = (self.lin + self.pairs @ x) * free
+        inf = (lin * lin + self.squares[:, free].sum(axis=1)) * free
+        return c, lin, inf, free
+
+    def display(self, path: Path) -> tuple[DegTwoPoly, bool]:
+        """p_rho, each coefficient rounded once, and whether any rounding changed."""
+        c, lin, _, free = self.restrict(path)
+        exact = [c, *lin.tolist()]
+        try:
+            rounded = [v / self.den for v in exact]    # int / int rounds once
+        except OverflowError:
+            raise ConfigurationError(
+                f"p restricted along {list(path)} overflows a float") from None
+        quad = np.where(np.outer(free, free), self.quad, 0.0)
+        ratios = [f.as_integer_ratio() for f in rounded]
+        return (DegTwoPoly(len(lin), rounded[0], np.array(rounded[1:]), quad),
+                any(a * self.den != v * b for v, (a, b) in zip(exact, ratios)))
 
 
 # --------------------------------------------------------------------------
@@ -145,8 +160,9 @@ class Leaf:
     poly: DegTwoPoly
     classification: Classification
     depth: int
-    path: tuple[tuple[int, int], ...]     # ((variable, value), ...) root first
+    path: Path
     truncated: bool = False
+    poly_rounded: bool = False      # ``poly`` is not the exact restriction
 
     @property
     def mass(self) -> Fraction:
@@ -162,18 +178,10 @@ class Node:
 
 @dataclass
 class DecisionTree:
-    """Complete restriction tree over {-1,1}^n.
-
-    ``tau`` and ``test_order`` are None on trees read back from disk; the
-    file format records outcomes, not build parameters.
-    """
+    """Complete restriction tree over {-1,1}^n."""
 
     n: int
     root: Union[Node, Leaf]
-    tau: Optional[float] = None
-    max_depth: Optional[int] = None
-    test_order: Optional[int] = None
-    truncated: bool = False
 
     def leaves(self) -> Iterator[Leaf]:
         stack = [self.root]
@@ -191,6 +199,10 @@ class DecisionTree:
     def leaf_count(self) -> int:
         return sum(1 for _ in self.leaves())
 
+    @property
+    def truncated(self) -> bool:
+        return any(leaf.truncated for leaf in self.leaves())
+
     def route(self, x: np.ndarray) -> Leaf:
         """Walk the tree along an assignment and return the leaf reached."""
         node = self.root
@@ -204,16 +216,12 @@ class DecisionTree:
 
 
 def build_tree(p: DegTwoPoly, tau: float, max_depth: Optional[int] = None,
-               test_space: Optional[SampleSpace] = None,
                leaf_budget: int = 2 ** 18) -> DecisionTree:
     """Grow the restriction tree for p deterministically.
 
-    Nodes that classify regular or close-to-constant become leaves; bad
-    nodes split on their most influential variable (lowest index on
-    ties, so rebuilds are reproducible) until the depth budget or the
-    leaf budget runs out.  Leaves cut short by a budget rather than by
-    the classifier carry an explicit ``truncated`` marker and stay
-    classified bad, which is the conservative side.
+    Bad nodes split on their most influential variable (lowest index on
+    ties) until the depth or leaf budget runs out.  Leaves cut short by a
+    budget are marked ``truncated`` and stay bad, the conservative side.
     """
     if not 0.0 < tau < 0.5:
         raise ConfigurationError("tau must lie in (0, 1/2)")
@@ -223,34 +231,35 @@ def build_tree(p: DegTwoPoly, tau: float, max_depth: Optional[int] = None,
     if requested < 0:
         raise ConfigurationError("max_depth must be nonnegative")
     effective = min(requested, config.TREE_DEPTH_CAP)
-    if test_space is None:
-        test_space = default_test_space(p.n, tau)
+    space = default_test_space(p.n, tau)
+    nonneg = signs(p, space.points) >= 0
+    form = _ExactForm(p)
 
     finalized = 0
-    truncated_any = False
 
-    def grow(cur: DegTwoPoly, depth: int,
-             path: tuple[tuple[int, int], ...]) -> Union[Node, Leaf]:
-        nonlocal finalized, truncated_any
-        cls = classify_leaf(cur, tau, test_space)
+    def grow(rows: np.ndarray, path: Path) -> Union[Node, Leaf]:
+        # on the rows of its subcube p_rho = p, so the root's signs serve
+        nonlocal finalized
+        depth = len(path)
+        inf = form.restrict(path)[2]
+        cls = _verdict(inf, Fraction(int(np.count_nonzero(nonneg[rows])),
+                                     rows.size), tau)
         out_of_depth = depth >= effective
         out_of_leaves = finalized + 2 > leaf_budget
         if cls.kind != BAD or out_of_depth or out_of_leaves:
             trunc = cls.kind == BAD and (out_of_leaves
                                          or (out_of_depth and requested > effective))
-            truncated_any = truncated_any or trunc
             finalized += 1
-            return Leaf(poly=cur, classification=cls, depth=depth,
-                        path=path, truncated=trunc)
-        var = int(np.argmax(influences(cur)[0]))
-        neg = grow(cur.restrict(var, -1), depth + 1, path + ((var, -1),))
-        pos = grow(cur.restrict(var, +1), depth + 1, path + ((var, +1),))
+            poly, rounded = form.display(path)
+            return Leaf(poly=poly, classification=cls, depth=depth,
+                        path=path, truncated=trunc, poly_rounded=rounded)
+        var = max(range(p.n), key=inf.__getitem__)     # first of the largest
+        column = space.points[rows, var]
+        neg, pos = (grow(rows[column == s], path + ((var, s),)) for s in (-1, 1))
         return Node(var=var, neg=neg, pos=pos)
 
-    root = grow(p, 0, ())
-    return DecisionTree(n=p.n, root=root, tau=tau, max_depth=effective,
-                        test_order=test_space.k_claimed,
-                        truncated=truncated_any)
+    root = grow(np.arange(space.num_points), ())
+    return DecisionTree(n=p.n, root=root)
 
 
 # --------------------------------------------------------------------------
@@ -284,15 +293,17 @@ class SpaceReachReport:
     passed: bool
     order: int
     leaves_checked: int
-    worst_path: Optional[tuple[tuple[int, int], ...]]
+    worst_path: Optional[Path]
     worst_gap: Fraction
 
 
 @dataclass
 class CompositionReport:
+    """Whether each leaf holds p's exact restriction, rounded and flagged."""
+
     passed: bool
-    probes: int
-    max_gap: float
+    leaves_checked: int
+    broken_path: Optional[Path]
 
 
 @dataclass
@@ -316,80 +327,69 @@ def _space_reach_check(tree: DecisionTree, space: SampleSpace) -> SpaceReachRepo
         raise ConfigurationError("space and tree dimension mismatch")
     worst_gap = Fraction(0)
     worst_path = None
-    checked = 0
-    for leaf in tree.leaves():
+    leaves = list(tree.leaves())
+    for leaf in leaves:
         mask = np.ones(space.num_points, dtype=bool)
         for var, val in leaf.path:
             mask &= space.points[:, var] == val
         gap = abs(space.probability(mask) - leaf.mass)
-        checked += 1
         if gap > worst_gap:
             worst_gap, worst_path = gap, leaf.path
     return SpaceReachReport(passed=worst_gap == 0, order=space.k_claimed,
-                            leaves_checked=checked, worst_path=worst_path,
+                            leaves_checked=len(leaves), worst_path=worst_path,
                             worst_gap=worst_gap)
 
 
-def _composition_check(tree: DecisionTree, p: DegTwoPoly, probes: int,
-                       seed: int) -> CompositionReport:
-    rng = np.random.default_rng(seed)
-    X = rng.choice(np.array([-1.0, 1.0]), size=(probes, p.n))
-    max_gap = 0.0
-    for x in X:
-        leaf = tree.route(x)
-        ref = p.evaluate(x)
-        got = leaf.poly.evaluate(x)
-        max_gap = max(max_gap, abs(got - ref) / max(1.0, abs(ref)))
-    return CompositionReport(passed=max_gap <= 1e-9, probes=probes,
-                             max_gap=max_gap)
+def _composition_check(tree: DecisionTree, p: DegTwoPoly) -> CompositionReport:
+    if p.n != tree.n:
+        raise ConfigurationError("polynomial and tree dimension mismatch")
+    form = _ExactForm(p)
+    leaves = list(tree.leaves())
+    broken = []
+    for leaf in leaves:
+        poly, rounded = form.display(leaf.path)
+        if (dumps_poly(poly), rounded) != (dumps_poly(leaf.poly), leaf.poly_rounded):
+            broken.append(leaf.path)
+    return CompositionReport(passed=not broken, leaves_checked=len(leaves),
+                             broken_path=broken[0] if broken else None)
 
 
 def tree_report(tree: DecisionTree, p: Optional[DegTwoPoly] = None,
-                space: Optional[SampleSpace] = None, probes: int = 100,
-                seed: int = 0) -> TreeReport:
-    """Exact per-class mass accounting plus optional empirical checks.
+                space: Optional[SampleSpace] = None) -> TreeReport:
+    """Exact per-class mass accounting plus optional exact checks.
 
     Masses are dyadic rationals summing to exactly 1 on a complete tree.
     On a truncated tree the class masses are bounds, not values: a
     truncated leaf might have resolved into any class had it been grown,
     so its mass is reported separately and the report is flagged inexact.
-    When ``space`` is supplied and its order covers the tree depth, every
-    leaf's reach probability under it is compared with 2^-depth for exact
-    equality.  When ``p`` is supplied, random probes confirm that routing
-    plus leaf evaluation reproduces p.
+    With ``space`` (of order at least the depth), each leaf's reach
+    probability under it must equal 2^-depth.  With ``p``, each leaf's
+    polynomial must be p restricted exactly along its path and rounded
+    once per coefficient, with ``poly_rounded`` set where that rounded.
     """
-    mass = {REGULAR: Fraction(0), CLOSE_TO_CONSTANT: Fraction(0),
-            BAD: Fraction(0)}
-    truncated_mass = Fraction(0)
+    mass = dict.fromkeys((REGULAR, CLOSE_TO_CONSTANT, BAD, "truncated"), Fraction(0))
     disagreement_mass = Fraction(0)
-    hist: dict[int, int] = {}
-    count = 0
-    for leaf in tree.leaves():
-        count += 1
-        hist[leaf.depth] = hist.get(leaf.depth, 0) + 1
-        if leaf.truncated:
-            truncated_mass += leaf.mass
-            continue
-        mass[leaf.classification.kind] += leaf.mass
-        if leaf.classification.kind == CLOSE_TO_CONSTANT:
+    leaves = list(tree.leaves())
+    for leaf in leaves:
+        kind = "truncated" if leaf.truncated else leaf.classification.kind
+        mass[kind] += leaf.mass
+        if kind == CLOSE_TO_CONSTANT:
             disagreement_mass += leaf.mass * leaf.classification.disagreement
-    total = mass[REGULAR] + mass[CLOSE_TO_CONSTANT] + mass[BAD] + truncated_mass
-    if total != 1:
-        raise ConfigurationError(f"leaf masses sum to {total}, tree is not complete")
+    if sum(mass.values()) != 1:
+        raise ConfigurationError(
+            f"leaf masses sum to {sum(mass.values())}, tree is not complete")
     decomposition = DeviationDecomposition(
         regular_mass=mass[REGULAR], close_mass=mass[CLOSE_TO_CONSTANT],
-        bad_mass=mass[BAD], truncated_mass=truncated_mass,
+        bad_mass=mass[BAD], truncated_mass=mass["truncated"],
         close_disagreement_mass=disagreement_mass)
-    by_class = dict(mass)
-    if truncated_mass:
-        by_class["truncated"] = truncated_mass
+    by_class = {k: v for k, v in mass.items() if k != "truncated" or v}
+    hist = Counter(leaf.depth for leaf in leaves)
     return TreeReport(
         mass_by_class=by_class, depth_histogram=dict(sorted(hist.items())),
-        deviation=decomposition, exact=not tree.truncated, leaf_count=count,
-        depth=tree.depth(),
+        deviation=decomposition, exact=not tree.truncated,
+        leaf_count=len(leaves), depth=max(hist),
         space_check=_space_reach_check(tree, space) if space is not None else None,
-        composition_check=(_composition_check(tree, p, probes, seed)
-                           if p is not None else None))
+        composition_check=_composition_check(tree, p) if p is not None else None)
 
 
 # --------------------------------------------------------------------------
@@ -400,16 +400,13 @@ def tree_report(tree: DecisionTree, p: Optional[DegTwoPoly] = None,
 
 def _node_to_obj(node: Union[Node, Leaf]):
     if isinstance(node, Leaf):
-        leaf = {"class": node.classification.kind,
-                "mass": str(node.mass),
-                "poly": dumps_poly(node.poly)}
-        if node.classification.sign is not None:
-            leaf["sign"] = node.classification.sign
-        if node.classification.disagreement is not None:
-            leaf["disagreement"] = str(node.classification.disagreement)
-        if node.truncated:
-            leaf["truncated"] = True
-        return {"leaf": leaf}
+        cls = node.classification
+        leaf = {"class": cls.kind, "mass": str(node.mass),
+                "poly": dumps_poly(node.poly), "sign": cls.sign,
+                "disagreement": None if cls.disagreement is None else str(cls.disagreement),
+                "truncated": node.truncated or None,
+                "poly_rounded": node.poly_rounded or None}
+        return {"leaf": {k: v for k, v in leaf.items() if v is not None}}
     return {"var": node.var + 1,
             "neg": _node_to_obj(node.neg),
             "pos": _node_to_obj(node.pos)}
@@ -421,8 +418,7 @@ def dump_tree(tree: DecisionTree, path) -> None:
         fh.write("\n")
 
 
-def _obj_to_node(obj, depth: int,
-                 path: tuple[tuple[int, int], ...]) -> Union[Node, Leaf]:
+def _obj_to_node(obj, depth: int, path: Path) -> Union[Node, Leaf]:
     if not isinstance(obj, dict):
         raise FormatError("tree nodes must be JSON objects")
     if "leaf" in obj:
@@ -431,25 +427,27 @@ def _obj_to_node(obj, depth: int,
             kind = rec["class"]
             mass = Fraction(rec["mass"])
             p = loads_poly(rec["poly"])
-        except (KeyError, ValueError) as exc:
+            disagreement = rec.get("disagreement")
+            disagreement = None if disagreement is None else Fraction(disagreement)
+        except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed leaf record: {exc}") from exc
         if kind not in (REGULAR, CLOSE_TO_CONSTANT, BAD):
             raise FormatError(f"unknown leaf class {kind!r}")
         if mass != Fraction(1, 2 ** depth):
             raise FormatError(
                 f"leaf at depth {depth} stores mass {mass}, expected 1/{2 ** depth}")
-        sign = rec.get("sign")
-        disagreement = rec.get("disagreement")
-        cls = Classification(
-            kind=kind, sign=sign,
-            disagreement=Fraction(disagreement) if disagreement is not None else None)
+        cls = Classification(kind=kind, sign=rec.get("sign"), disagreement=disagreement)
         return Leaf(poly=p, classification=cls, depth=depth, path=path,
-                    truncated=bool(rec.get("truncated", False)))
+                    truncated=bool(rec.get("truncated", False)),
+                    poly_rounded=bool(rec.get("poly_rounded", False)))
     if not {"var", "neg", "pos"} <= obj.keys():
         raise FormatError("internal nodes need var, neg, and pos")
-    var = int(obj["var"]) - 1
-    if var < 0:
-        raise FormatError("variable indices are 1-based")
+    var = obj["var"]
+    if type(var) is not int or var < 1:
+        raise FormatError(f"variable {var!r} is not a 1-based index")
+    var -= 1
+    if any(var == u for u, _ in path):
+        raise FormatError(f"variable {var + 1} is fixed twice on one path")
     return Node(var=var,
                 neg=_obj_to_node(obj["neg"], depth + 1, path + ((var, -1),)),
                 pos=_obj_to_node(obj["pos"], depth + 1, path + ((var, 1),)))
@@ -460,9 +458,11 @@ def load_tree(path) -> DecisionTree:
         obj = json.loads(read_ascii(path, "tree"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"tree file {path}: {exc}") from None
-    root = _obj_to_node(obj, 0, ())
-    first = root if isinstance(root, Leaf) else next(
-        leaf for leaf in DecisionTree(n=0, root=root).leaves())
-    tree = DecisionTree(n=first.poly.n, root=root)
-    tree.truncated = any(leaf.truncated for leaf in tree.leaves())
+    tree = DecisionTree(n=0, root=_obj_to_node(obj, 0, ()))
+    leaves = list(tree.leaves())
+    tree.n = leaves[0].poly.n
+    if any(leaf.poly.n != tree.n for leaf in leaves):
+        raise FormatError("leaf polynomials differ in dimension")
+    if any(var >= tree.n for leaf in leaves for var, _ in leaf.path):
+        raise FormatError(f"a path fixes a variable outside 1..{tree.n}")
     return tree

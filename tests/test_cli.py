@@ -4,12 +4,13 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import random_poly
-from ptffool import config, fooling, gw, spaces
+from ptffool import config, fooling, gw, spaces, tree
 from ptffool.cli import main
 from ptffool.poly import DegTwoPoly, dump_poly
 
@@ -143,6 +144,33 @@ def test_tree_build(tmp_path, product_poly_file):
                  "--tau", "0.4", "--out", out]) == 0
     doc = _read_report(out)
     assert "var" in doc
+
+
+def test_tree_build_keeps_exact_leaves_on_a_2_54_scale(tmp_path, capsys):
+    # float restriction stored disagreement 0 on two leaves whose exact
+    # disagreement is 1/4; exact restriction gives 1/32 in all
+    path = tmp_path / "big.poly"
+    path.write_text("5\nC 9007199254740992\nL 1 1\nL 2 -1\n"
+                    "L 3 9007199254740992\nL 4 -1\nL 5 -1\n"
+                    "Q 1 3 9007199254740992\nQ 1 4 1\nQ 1 5 18014398509481984\n"
+                    "Q 2 3 18014398509481984\nQ 3 4 -1\nQ 4 5 9007199254740992\n")
+    out = tmp_path / "t.json"
+    assert main(["tree", "build", "--poly", str(path), "--tau", "0.2",
+                 "--out", str(out)]) == 0
+    assert "composition ok" in capsys.readouterr().out
+    t = tree.load_tree(out)
+    assert tree.tree_report(t).deviation.close_disagreement_mass == Fraction(1, 32)
+
+
+@pytest.mark.parametrize("argv,n", [
+    (["fool", "lp", "--k", "2"], config.LP_MAX_N + 1),
+    (["tree", "build", "--tau", "0.2", "--out", "t.json"], config.ENUM_MAX_N + 1),
+])
+def test_resource_budget_is_inconclusive(tmp_path, capsys, argv, n, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    dump_poly(DegTwoPoly.from_terms(n, linear={0: 1.0}), tmp_path / "p.poly")
+    assert main(argv + ["--poly", "p.poly"]) == 2
+    assert "inconclusive" in capsys.readouterr().err
 
 
 def test_gw_round_exact(tmp_path):

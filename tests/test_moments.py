@@ -69,6 +69,17 @@ def test_eigenbound_holds_on_random_matrices(rng):
             assert rep.ratio <= 128.0
 
 
+def test_eigenbound_divides_by_the_operator_norm():
+    # -(J - I) has eigenvalues 1 (n - 1 times) and -(n - 1): the largest
+    # signed eigenvalue is 1, the operator norm n - 1 = 11, and at k = 16
+    # k ||A||_op = 176 exceeds sqrt(k) ||A||_F = 4 sqrt(132)
+    n = 12
+    A = -(np.ones((n, n)) - np.eye(n))
+    rep = moments.eigenbound_ratio(A, 16)
+    assert rep.bound == pytest.approx(176.0 ** 16)
+    assert round(rep.ratio, 2) == 0.47
+
+
 def test_eigenbound_rejects_odd_order(rng):
     A = random_tracefree_symmetric(4, rng)
     with pytest.raises(ConfigurationError):
@@ -111,12 +122,6 @@ def test_moment_series_increasing_even_orders(rng):
     # normalized: E[q^2]^(k/2) <= E[q^k] for k >= 2 by power mean
     assert vals[0] ** 2 <= vals[1] * (1 + 1e-12)
     assert vals[1] ** (3 / 2) <= vals[2] * (1 + 1e-9) * max(1.0, vals[2])
-
-
-def test_boundmoment_check_smoke(rng):
-    p = random_poly(7, rng, with_linear=False, with_constant=False)
-    rep = moments.boundmoment_check(p, 4)
-    assert rep.passed
 
 
 def test_tail_check_modes(rng):

@@ -12,9 +12,9 @@ from ptffool.errors import (ConfigurationError, ContractViolationError,
                             ConvergenceError, DegenerateInputError,
                             FormatError, ResourceBudgetError)
 from ptffool.poly import (DegTwoPoly, critical_index, dump_poly,
-                          dumps_poly, eigendecompose_symmetric,
-                          evaluate_mp, influences, integer_form, load_poly,
-                          loads_poly, regularity, signs, spectral_decompose)
+                          dumps_poly, eigendecompose_symmetric, influences,
+                          integer_form, load_poly, loads_poly, regularity,
+                          signs, spectral_decompose)
 
 
 def test_from_terms_monomial_convention():
@@ -120,29 +120,6 @@ def test_spectral_decompose_delta_guard():
     p = DegTwoPoly.from_terms(2, quad_terms={(0, 1): 1.0})
     with pytest.raises(ConfigurationError):
         spectral_decompose(p, 0.0)
-
-
-def test_evaluate_mp_consistency(rng):
-    """The four-part evaluation recombines to the original polynomial:
-    y1^2 - y2^2 + (y3 + Upsilon) + y4 + C = p(x)."""
-    p = random_poly(6, rng)
-    dec = spectral_decompose(p, delta=0.5)
-    for x in all_points(6)[::7]:
-        y = evaluate_mp(dec, x)
-        back = y[0] ** 2 - y[1] ** 2 + (y[2] + dec.upsilon) + y[3] + p.constant
-        assert abs(back - p.evaluate(x)) < 1e-9
-
-
-def test_restrict_fixes_variable(rng):
-    """Restriction keeps the ambient dimension; the fixed slot's
-    coefficients fold into lower-order terms and stop mattering."""
-    p = random_poly(5, rng)
-    q = p.restrict(2, +1)
-    assert q.n == 5
-    for x in all_points(5):
-        fixed = np.asarray(x, dtype=np.float64).copy()
-        fixed[2] = 1.0
-        assert abs(q.evaluate(x) - p.evaluate(fixed)) < 1e-12
 
 
 def test_scale_multiplies_everything(rng):

@@ -1,10 +1,13 @@
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import random_poly
+from conftest import fraction_values, random_poly
 from ptffool import spaces, tree
+from ptffool.cube import all_points
 from ptffool.errors import ConfigurationError, FormatError
 from ptffool.poly import DegTwoPoly
 
@@ -90,7 +93,6 @@ def test_route_follows_assignments(rng):
 def test_reach_probability_matches_mass(rng):
     """Walking the tree with uniform bits reaches each leaf with
     probability exactly 2^-depth: count paths by enumeration."""
-    from ptffool.cube import all_points
     p = random_poly(4, rng)
     t = tree.build_tree(p, tau=0.3)
     counts = {}
@@ -195,3 +197,146 @@ def test_classify_leaf_counts_exact_zeros_as_positive():
 def test_default_test_space_order():
     assert tree.test_space_order(0.25) >= 4
     assert tree.test_space_order(0.01) >= 2 * 6 + 2  # ceil(2 log2 100) + margin
+
+
+def test_leaves_store_the_restriction_along_their_path(rng):
+    """A leaf's polynomial keeps the ambient dimension; the fixed slots'
+    coefficients fold into lower-order terms and stop mattering."""
+    p = random_poly(5, rng)
+    t = tree.build_tree(p, tau=0.2)
+    for leaf in t.leaves():
+        assert leaf.poly.n == 5
+        for x in all_points(5):
+            fixed = x.astype(np.float64)
+            for var, val in leaf.path:
+                fixed[var] = val
+            assert abs(leaf.poly.evaluate(x) - p.evaluate(fixed)) < 1e-12
+
+
+# --------------------------------------------------------------------------
+# every leaf against p restricted and evaluated in Fractions
+
+
+def _check_against_fractions(p: DegTwoPoly, tau: float, t: tree.DecisionTree):
+    """Walk t beside p restricted exactly: each node's verdict (exact
+    influence share, then the majority sign and disagreement of p on its
+    subcube), each split variable, and each leaf's display polynomial."""
+    n = p.n
+    points = all_points(n).tolist()
+    values = fraction_values(p, points)
+    Q = [[Fraction(v) for v in row] for row in p.quad.tolist()]
+
+    def walk(node, path, constant, linear):
+        fixed = {v for v, _ in path}
+        free = [i for i in range(n) if i not in fixed]
+        inf = [linear[i] ** 2 + sum((2 * Q[i][j]) ** 2 for j in free if j != i)
+               if i in free else Fraction(0) for i in range(n)]
+        total = sum(inf)
+        rows = [r for r, x in enumerate(points)
+                if all(x[v] == s for v, s in path)]
+        pos = Fraction(sum(values[r] >= 0 for r in rows), len(rows))
+        sign = 1 if pos >= Fraction(1, 2) else -1
+        disagreement = 1 - pos if sign == 1 else pos
+        if total and max(inf) / total <= Fraction(tau):
+            kind = tree.REGULAR
+        else:
+            kind = tree.CLOSE_TO_CONSTANT if disagreement <= tau else tree.BAD
+        if isinstance(node, tree.Node):
+            assert kind == tree.BAD, path
+            assert node.var == inf.index(max(inf)), path
+            v = node.var
+            for s, child in ((-1, node.neg), (1, node.pos)):
+                walk(child, path + ((v, s),), constant + s * linear[v] + Q[v][v],
+                     [linear[i] + 2 * s * Q[i][v] if i in free and i != v
+                      else Fraction(0) for i in range(n)])
+            return
+        cls = node.classification
+        assert not node.truncated and cls.kind == kind, path
+        if kind != tree.REGULAR:
+            assert (cls.sign, cls.disagreement) == (sign, disagreement), path
+        exact = [constant, *linear]
+        assert [node.poly.constant, *node.poly.linear.tolist()] == [
+            float(c) for c in exact], path
+        quad = p.quad.copy()
+        quad[sorted(fixed), :] = 0.0
+        quad[:, sorted(fixed)] = 0.0
+        assert np.array_equal(node.poly.quad, quad), path
+        assert node.poly_rounded == any(Fraction(float(c)) != c for c in exact)
+
+    walk(t.root, (), Fraction(p.constant), [Fraction(v) for v in p.linear])
+
+
+# exact zeros, units next to 2^53 and 2^54 (whose sums round), and
+# dyadics from 2^-16 to 2^54
+_big_and_units = st.sampled_from([0.0, 1.0, -1.0, 3.0, 2.0 ** 53, 2.0 ** 54,
+                                  -2.0 ** 54])
+_mixed_scale = st.one_of(_big_and_units, st.builds(
+    lambda m, e: m * 2.0 ** e, st.integers(-5, 5), st.integers(-16, 54)))
+
+
+@st.composite
+def _mixed_scale_polys(draw):
+    n = draw(st.integers(1, 6))
+    coef = draw(st.sampled_from([_big_and_units, _mixed_scale]))
+    linear = {i: draw(coef) for i in range(n)}
+    quad = {(i, j): draw(coef) for i in range(n) for j in range(i, n)}
+    p = DegTwoPoly.from_terms(n, draw(coef), linear, quad)
+    return p, draw(st.sampled_from([0.05, 0.2, 0.3, 0.45]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mixed_scale_polys())
+def test_leaves_match_fraction_restriction(case):
+    p, tau = case
+    t = tree.build_tree(p, tau)
+    _check_against_fractions(p, tau, t)
+    assert tree.tree_report(t, p).composition_check.passed
+
+
+def test_exact_leaves_on_a_2_54_scale():
+    # float restriction rounds 2^54-scale sums, and the tree it grew
+    # stored disagreement 0 on two leaves where p disagrees on 1/4
+    big, huge = 2.0 ** 53, 2.0 ** 54
+    p = DegTwoPoly.from_terms(
+        5, big, {0: 1.0, 1: -1.0, 2: big, 3: -1.0, 4: -1.0},
+        {(0, 2): big, (0, 3): 1.0, (0, 4): huge, (1, 2): huge, (2, 3): -1.0,
+         (3, 4): big})
+    t = tree.build_tree(p, 0.2)
+    _check_against_fractions(p, 0.2, t)
+    rep = tree.tree_report(t, p)
+    assert (t.leaf_count(), rep.deviation.close_disagreement_mass) == (16, Fraction(1, 32))
+    assert rep.composition_check.passed
+    assert 0 < sum(leaf.poly_rounded for leaf in t.leaves()) < 16
+
+
+def test_composition_check_catches_a_wrong_leaf(rng):
+    p = random_poly(4, rng)
+    t = tree.build_tree(p, tau=0.2)
+    leaf = next(t.leaves())
+    leaf.poly = DegTwoPoly(4, leaf.poly.constant + 2.0 ** -40, leaf.poly.linear,
+                           leaf.poly.quad)
+    rep = tree.tree_report(t, p).composition_check
+    assert not rep.passed and rep.broken_path == leaf.path
+    leaf.poly_rounded = True
+    assert not tree.tree_report(t, p).composition_check.passed
+
+
+def _leaf(n: int, depth: int) -> dict:
+    return {"leaf": {"class": tree.CLOSE_TO_CONSTANT, "mass": f"1/{2 ** depth}",
+                     "poly": f"{n}\nC 1.0\n", "sign": 1, "disagreement": "0"}}
+
+
+@pytest.mark.parametrize("label,obj", [
+    ("variable above n", {"var": 99, "neg": _leaf(2, 1), "pos": _leaf(2, 1)}),
+    ("variable 0", {"var": 0, "neg": _leaf(2, 1), "pos": _leaf(2, 1)}),
+    ("variable not an integer", {"var": "1", "neg": _leaf(2, 1), "pos": _leaf(2, 1)}),
+    ("dimensions differ", {"var": 1, "neg": _leaf(2, 1), "pos": _leaf(3, 1)}),
+    ("variable fixed twice", {"var": 1, "pos": _leaf(2, 1), "neg": {
+        "var": 1, "neg": _leaf(2, 2), "pos": _leaf(2, 2)}}),
+    ("disagreement not a number", {"leaf": {**_leaf(2, 0)["leaf"], "disagreement": [0]}}),
+])
+def test_load_rejects_inconsistent_trees(tmp_path, label, obj):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(FormatError):
+        tree.load_tree(path)
