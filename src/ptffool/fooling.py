@@ -4,17 +4,27 @@ pull the expectation of a degree-2 sign function away from uniform.
 Three levels of machinery live here.  The exact level enumerates
 expectations as rationals, for the uniform cube and for explicit sample
 spaces.  The adversarial level phrases "worst k-wise independent
-distribution" as a linear program over point masses (2^n variables,
-one constraint per parity up to order k) and extracts three artifacts
-from one solve: the optimum, an optimal distribution repaired to exact
-rational feasibility, and a degree-k sandwiching polynomial certificate
-recovered from the dual and re-verified in integer arithmetic.  The
-repair solves the support's parity system by one float LU, integer
-iterative refinement and rational reconstruction; floats only search,
-and an integer check of every row is the proof.  The sgn LP and the
-intersection LP share one driver, and one broadcast popcount builds
-every parity row.  The probe level is Monte Carlo, for quantities with
-no exact counterpart.
+distribution" as a linear program over point masses w >= 0 on the 2^n
+cube points, with one equality row per parity of order up to k, and
+extracts three artifacts from one solve: the optimum, an optimal
+distribution repaired to exact rational feasibility, and a degree-k
+sandwiching polynomial certificate recovered from the dual and
+re-verified in integer arithmetic.
+
+The LP comes in two forms with the same optimum and the same artifacts.
+The point-mass form states the parity rows as a dense ±1 matrix, solved
+by the dual simplex.  The transform form reaches the same rows through the
+n butterfly stages of the Walsh-Hadamard transform: free stage vectors
+z_1..z_{n-1} and one sparse row per butterfly, at most 3 n 2^n nonzeros
+against (rows) x 2^n, solved by interior point with crossover.  One fixed
+rule picks the form: the transform form for k >= 4, where the dense rows
+are many, and the point-mass form below.  In both, the parity rows' duals
+are the certificate, and q is evaluated on the cube by one integer
+transform.  The repair solves the support's parity system by one float LU,
+integer iterative refinement and rational reconstruction; floats only
+search, and an integer check of every row is the proof.  The sgn LP and
+the intersection LP share one driver.  The probe level is Monte Carlo,
+for quantities with no exact counterpart.
 
 Every sign of p is exact (``poly.signs``), with sgn(0) = +1 everywhere
 applied as ``signs(...) >= 0``.  Reports carry the sign-scale deviation;
@@ -31,6 +41,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import lu_factor, lu_solve
 from scipy.optimize import linprog
 
@@ -43,7 +54,6 @@ from .poly import DegTwoPoly, signs
 from .spaces import SampleSpace, VerificationReport, verify_kwise_exact
 
 _CERT_DEN = config.CERT_DENOMINATOR
-_LP_MATRIX_BUDGET = 600_000_000  # bytes of dense constraint matrix
 _PIVOT_TOL = 1e-9            # LU pivots at or below this count as zero
 _REFINE_BITS = 47            # bits of each refinement correction; support * 2^47
                              # fits int64 for any support below 2^15
@@ -150,26 +160,56 @@ def deviation(p: DegTwoPoly, space: SampleSpace) -> DeviationReport:
 # the adversarial LP
 
 
-def _constraint_matrix(n: int, k: int) -> tuple[np.ndarray, list[tuple[int, ...]]]:
-    """Equality rows for the LP: the all-ones normalization row (chi of
-    the empty set) followed by one chi_S row per nonempty subset of size
-    <= k, from one broadcast popcount of the subset bitmasks against the
-    cube row indices, a block of rows at a time."""
-    subsets = cube.subsets_up_to(n, k)
-    cols = 1 << n
-    need = (len(subsets) + 1) * cols * 8
-    if need > _LP_MATRIX_BUDGET:
-        raise ResourceBudgetError(
-            f"constraint matrix would take {need / 1e9:.1f} GB; "
-            "reduce n or k")
-    masks = np.array([0] + [cube.subset_mask(s) for s in subsets], dtype=np.uint64)
-    indices = np.arange(cols, dtype=np.uint64)
-    A = np.empty((masks.size, cols))
-    step = max(1, BLOCK_ELEMENTS // cols)
+def _parity_rows(masks: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """chi_S(x), int8 ±1, for every subset mask S (rows) and cube row index
+    x (columns): one broadcast popcount, a block of rows at a time."""
+    out = np.empty((masks.size, columns.size), dtype=np.int8)
+    step = max(1, BLOCK_ELEMENTS // max(columns.size, 1))
     for lo in range(0, masks.size, step):
-        odd = popcount_u64(masks[lo:lo + step, None] & indices) & 1
-        A[lo:lo + step] = 1 - 2 * odd.astype(np.int8)
-    return A, subsets
+        odd = popcount_u64(masks[lo:lo + step, None] & columns) & 1
+        out[lo:lo + step] = 1 - 2 * odd.astype(np.int8)
+    return out
+
+
+def _butterfly_rows(n: int, masks: np.ndarray) -> sparse.csc_matrix:
+    """The transform form's equality rows, over the variables [w, z_1, ...,
+    z_{n-1}] with z_0 = w.
+
+    Stage i (b = 2^(i-1)) is one butterfly of ``cube.fwht_inplace``, in its
+    row order: z_{i-1}[a & ~b] ± z_{i-1}[a | b] - z_i[a] = 0, with + where
+    bit b of a is clear.  The last stage's z_n is fixed, so it moves to the
+    right-hand side: one row per mask S of ``masks``, in their order, with
+    z_n[S] = 1 for S = ∅ and 0 for 1 <= |S| <= k.  The entries with
+    |S| > k are free and have no row.  Row S then holds
+    sum_x chi_S(x) w[x], the point-mass row.
+    """
+    size = 1 << n
+    rows, cols, vals = [], [], []
+    for i in range(1, n + 1):
+        b = 1 << (i - 1)
+        out = np.arange(size) if i < n else masks.astype(np.int64)
+        row = (i - 1) * size + np.arange(out.size)
+        prev = (i - 1) * size                          # z_{i-1}'s first column
+        rows += [row, row]
+        cols += [prev + (out & ~b), prev + (out | b)]
+        vals += [np.ones(out.size), np.where(out & b, -1.0, 1.0)]
+        if i < n:
+            rows.append(row)
+            cols.append(i * size + out)
+            vals.append(-np.ones(out.size))
+    return sparse.csc_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=((n - 1) * size + masks.size, n * size))
+
+
+def _transform_form(n: int, k: int) -> bool:
+    """The form rule: the transform form from k = 4 on, the point-mass form
+    below.  HiGHS time for both sides on a 2-core machine, transform form
+    (interior point) against point-mass form (dual simplex): 0.37 s
+    against 0.87 s at (n, k) = (9, 4), 1.7 s against 14.5 s at (10, 5);
+    but 0.34 s against 0.13 s at (10, 2) and 0.28 s against 0.22 s at
+    (9, 3)."""
+    return k >= 4
 
 
 @dataclass
@@ -177,9 +217,9 @@ class _LpSide:
     sense: str                           # "max" | "min"
     optimum: float
     weights: np.ndarray
-    dual: np.ndarray                     # marginals of the equality rows
+    dual: np.ndarray                     # marginals of the parity rows
     subsets: list[tuple[int, ...]]
-    A: np.ndarray                        # the equality rows, ±1
+    masks: np.ndarray                    # uint64: 0 (normalization), then subsets'
     objective_values: np.ndarray         # s(x) over the cube
     uniform_expectation: Fraction
     k: int
@@ -190,30 +230,45 @@ def _solve_lp(values: np.ndarray, n: int, k: int, sense: str, objective: str,
               emit_certificates: bool) -> tuple[DeviationReport, list[_LpSide]]:
     """The LP driver shared by every objective (integer ``values`` over the
     cube): solve the requested sides, max first, and return them with a
-    report of the optima, the deviation on both scales and the certificates."""
+    report of the optima, the deviation on both scales and the certificates.
+
+    Both forms have one equality row per parity of order <= k plus the
+    normalization, the last ``masks.size`` rows; the transform form puts
+    the butterfly stages before them."""
     uni = Fraction(int(np.sum(values, dtype=np.int64)), values.size)
     report = DeviationReport(n=n, k=k, mode="lp", uniform_expectation=uni,
                              objective=objective)
     s = values.astype(np.float64)
-    A, subsets = _constraint_matrix(n, k)
+    subsets = cube.subsets_up_to(n, k)
+    masks = np.array([0] + [cube.subset_mask(t) for t in subsets], dtype=np.uint64)
+    size = 1 << n
+    if _transform_form(n, k):
+        # Interior point with crossover: faster here than the dual simplex,
+        # and it still ends at a vertex, which the witness repair expects.
+        A, method = _butterfly_rows(n, masks), "highs-ipm"
+        cost = np.zeros(A.shape[1])
+        cost[:size] = s
+        bounds = [(0.0, None)] * size + [(None, None)] * (A.shape[1] - size)
+    else:
+        A = _parity_rows(masks, np.arange(size, dtype=np.uint64)).astype(np.float64)
+        cost, bounds, method = s, (0.0, None), "highs-ds"
     b = np.zeros(A.shape[0])
-    b[0] = 1.0
+    b[-masks.size] = 1.0
     sides, devs = [], [0.0]
     for side_sense, sign, bound in (("max", -1.0, "upper"), ("min", 1.0, "lower")):
         if sense not in (side_sense, "both"):
             continue
-        res = linprog(sign * s, A_eq=A, b_eq=b, bounds=(0.0, None),
-                      method="highs-ds")
+        res = linprog(sign * cost, A_eq=A, b_eq=b, bounds=bounds, method=method)
         if res.status == 1:
             raise InconclusiveError("LP hit its iteration cap")
         if res.status != 0:
             # The uniform distribution is always feasible, so anything but
             # success means the solve itself broke.
             raise ConvergenceError(f"LP solver failure: {res.message}")
-        side = _LpSide(sense=side_sense, optimum=sign * res.fun, weights=res.x,
-                       dual=np.asarray(res.eqlin.marginals), subsets=subsets,
-                       A=A, objective_values=s, uniform_expectation=uni,
-                       n=n, k=k)
+        side = _LpSide(sense=side_sense, optimum=sign * res.fun, weights=res.x[:size],
+                       dual=np.asarray(res.eqlin.marginals)[-masks.size:],
+                       subsets=subsets, masks=masks, objective_values=s,
+                       uniform_expectation=uni, n=n, k=k)
         sides.append(side)
         setattr(report, f"lp_{side_sense}", side.optimum)
         devs.append(-sign * (side.optimum - float(uni)))
@@ -228,17 +283,23 @@ def _solve_lp(values: np.ndarray, n: int, k: int, sense: str, objective: str,
 def sandwich_from_dual(side: _LpSide) -> SandwichCertificate:
     """Turn LP duals into a verified sandwiching polynomial.
 
-    For the max side the dual gives q = -A^T y with q >= s pointwise
-    and E_U[q] = lp_max; the min side flips to q = +A^T y <= s with
-    E_U[q] = lp_min.  Coefficients are rounded onto the grid of
-    multiples of 2^-32 and the inequality is re-checked in pure integer
-    arithmetic, repairing any rounding violation by shifting the
-    constant term.  The exact gap must then agree with the LP's.
+    For the max side the dual gives q = -sum_S y_S chi_S with q >= s
+    pointwise and E_U[q] = lp_max; the min side flips to q = +sum_S y_S
+    chi_S <= s with E_U[q] = lp_min.  Coefficients are rounded onto the
+    grid of multiples of 2^-32, q is evaluated at every cube point by one
+    integer Walsh-Hadamard transform, and the inequality is re-checked in
+    pure integer arithmetic, repairing any rounding violation by shifting
+    the constant term.  The exact gap must then agree with the LP's.
     """
     sign = -1 if side.sense == "max" else 1
-    # Round onto the fixed dyadic grid; numerators stay well inside int64.
+    # Round onto the fixed dyadic grid.
     nums = [int(round(float(v) * _CERT_DEN)) for v in sign * side.dual]
-    qnum = np.asarray(nums, dtype=np.int64) @ side.A.astype(np.int8)
+    # Every value of q is at most sum |nums| in magnitude: the transform is
+    # exact in int64 below 2^63, and in Python ints above.
+    exact_int64 = sum(abs(v) for v in nums) < 1 << 63
+    qnum = np.zeros(1 << side.n, dtype=np.int64 if exact_int64 else object)
+    qnum[side.masks] = nums
+    cube.fwht_inplace(qnum)
 
     snum = side.objective_values.astype(np.int64) * _CERT_DEN
     direction = "upper" if side.sense == "max" else "lower"
@@ -353,7 +414,8 @@ def _repair_witness(side: _LpSide) -> tuple[Optional[SampleSpace], Optional[str]
     """Exact-rational repair of the LP's optimal vertex: (witness, None),
     or (None, reason) when the repair gives up, never an unchecked witness.
 
-    The float solution nominates a support; M is A on it (rows x support).
+    The float solution nominates a support; M is the parity rows on it
+    (rows x support).
     One float LU of M picks independent rows; if they fall short, the
     lightest columns are pinned to multiples of 2^-32 near their float
     weights.  :func:`_solve_exact` solves the square system.  The proof is
@@ -366,7 +428,7 @@ def _repair_witness(side: _LpSide) -> tuple[Optional[SampleSpace], Optional[str]
     if cols > config.WITNESS_REPAIR_MAX_SUPPORT:
         return None, (f"LP support of {cols} points is above the repair cap "
                       f"of {config.WITNESS_REPAIR_MAX_SUPPORT}")
-    M = side.A[:, support].astype(np.int8)
+    M = _parity_rows(side.masks, support.astype(np.uint64))
     rows, rank, lu = _pivot_rows(M)
     free = np.arange(cols)
     pin = np.zeros(cols, dtype=np.int64)

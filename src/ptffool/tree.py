@@ -436,7 +436,16 @@ def _obj_to_node(obj, depth: int, path: Path) -> Union[Node, Leaf]:
         if mass != Fraction(1, 2 ** depth):
             raise FormatError(
                 f"leaf at depth {depth} stores mass {mass}, expected 1/{2 ** depth}")
-        cls = Classification(kind=kind, sign=rec.get("sign"), disagreement=disagreement)
+        sign = rec.get("sign")
+        if kind == REGULAR:
+            if sign is not None or disagreement is not None:
+                raise FormatError("a regular leaf carries no sign or disagreement")
+        elif type(sign) is not int or sign not in (-1, 1):
+            raise FormatError(f"{kind} leaf needs a sign of -1 or 1, not {sign!r}")
+        elif disagreement is None or not 0 <= disagreement <= Fraction(1, 2):
+            raise FormatError(
+                f"{kind} leaf needs a disagreement in [0, 1/2], not {disagreement}")
+        cls = Classification(kind=kind, sign=sign, disagreement=disagreement)
         return Leaf(poly=p, classification=cls, depth=depth, path=path,
                     truncated=bool(rec.get("truncated", False)),
                     poly_rounded=bool(rec.get("poly_rounded", False)))

@@ -373,9 +373,9 @@ N10_POLY = DegTwoPoly.from_terms(10, constant=0.25, linear={i: 1.0 for i in rang
                                  quad_terms={(0, 1): 2.0, (2, 3): -1.0})
 
 
-@pytest.mark.slow
 def test_fool_lp_repairs_witness_at_n10_k5(tmp_path):
-    """A support of 540 points on the max side, 422 on the min side."""
+    """The transform form at n = 10: a support of 540 points on the max side
+    and 454 on the min side (the point-mass form's min-side vertex has 422)."""
     back = _fool_lp_witness_at(tmp_path, 10, 5, N10_POLY)
     assert back.num_points > 512
 

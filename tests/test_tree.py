@@ -340,3 +340,38 @@ def test_load_rejects_inconsistent_trees(tmp_path, label, obj):
     path.write_text(json.dumps(obj))
     with pytest.raises(FormatError):
         tree.load_tree(path)
+
+
+def _verdict_leaf(kind, **fields) -> dict:
+    rec = {"class": kind, "mass": "1", "poly": "2\nC 1.0\n", **fields}
+    return {"leaf": {k: v for k, v in rec.items() if v is not None}}
+
+
+@pytest.mark.parametrize("label,obj,ok", [
+    ("close leaf", _verdict_leaf(tree.CLOSE_TO_CONSTANT, sign=-1, disagreement="1/4"), True),
+    ("bad leaf at 1/2", _verdict_leaf(tree.BAD, sign=1, disagreement="1/2"), True),
+    ("regular leaf", _verdict_leaf(tree.REGULAR), True),
+    ("sign 7", _verdict_leaf(tree.CLOSE_TO_CONSTANT, sign=7, disagreement="0"), False),
+    ("sign 0", _verdict_leaf(tree.BAD, sign=0, disagreement="1/2"), False),
+    ("sign true", _verdict_leaf(tree.BAD, sign=True, disagreement="1/2"), False),
+    ("sign 1.0", _verdict_leaf(tree.BAD, sign=1.0, disagreement="1/2"), False),
+    ("disagreement 3/4", _verdict_leaf(tree.CLOSE_TO_CONSTANT, sign=1, disagreement="3/4"),
+     False),
+    ("disagreement -1/8", _verdict_leaf(tree.BAD, sign=1, disagreement="-1/8"), False),
+    ("close leaf without sign", _verdict_leaf(tree.CLOSE_TO_CONSTANT, disagreement="0"),
+     False),
+    ("bad leaf without disagreement", _verdict_leaf(tree.BAD, sign=-1), False),
+    ("regular leaf with sign", _verdict_leaf(tree.REGULAR, sign=1), False),
+    ("regular leaf with disagreement", _verdict_leaf(tree.REGULAR, disagreement="0"),
+     False),
+])
+def test_load_checks_leaf_verdicts(tmp_path, label, obj, ok):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(obj))
+    if ok:
+        cls = next(tree.load_tree(path).leaves()).classification
+        assert cls.kind == obj["leaf"]["class"]
+        assert cls.sign == obj["leaf"].get("sign")
+    else:
+        with pytest.raises(FormatError):
+            tree.load_tree(path)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import witness_reference
 from conftest import random_poly
-from ptffool import config, fooling, spaces
+from ptffool import config, cube, fooling, spaces
 
 
 def _sides(p, k):
@@ -18,9 +18,10 @@ def _sides(p, k):
 
 def _hand_side(weights, n=2, k=1):
     """An LP side with the given float weights over the 2^n cube points."""
-    A, subsets = fooling._constraint_matrix(n, k)
+    subsets = cube.subsets_up_to(n, k)
+    masks = np.array([0] + [cube.subset_mask(s) for s in subsets], dtype=np.uint64)
     return fooling._LpSide(sense="max", optimum=0.0, weights=np.asarray(weights),
-                           dual=np.zeros(A.shape[0]), subsets=subsets, A=A,
+                           dual=np.zeros(masks.size), subsets=subsets, masks=masks,
                            objective_values=np.ones(1 << n), uniform_expectation=Fraction(1),
                            k=k, n=n)
 
