@@ -3,7 +3,7 @@
 Row order is fixed once and shared by every consumer: row r encodes x_i
 = +1 when bit i of r is clear and -1 when it is set.  That matches the
 bitmask layout the exact verifier uses, so parity columns can be built
-straight from popcounts and ``fwht`` returns every parity sum of a
+straight from popcounts and ``fwht_inplace`` returns every parity sum of a
 function on the cube at once (and, since chi_S(x) = chi_x(S), a function's
 values from its Fourier coefficients).
 
@@ -74,11 +74,6 @@ def parity_column(n: int, subset: Sequence[int]) -> np.ndarray:
     return (1 - 2 * odd.astype(np.int8)).astype(np.int8)
 
 
-def fwht(values: np.ndarray) -> np.ndarray:
-    """Walsh-Hadamard transform of a copy of ``values``: see :func:`fwht_inplace`."""
-    return fwht_inplace(np.array(values, copy=True))
-
-
 def fwht_inplace(values: np.ndarray) -> np.ndarray:
     """Walsh-Hadamard transform in row order, overwriting and returning
     ``values``: out[S] = sum_x values[x] chi_S(x).
@@ -100,10 +95,3 @@ def fwht_inplace(values: np.ndarray) -> np.ndarray:
         pairs[:, 1] += pairs[:, 0]          # a + b - 2b = a - b
         half *= 2
     return values
-
-
-def parity_column_for_points(points: np.ndarray,
-                             subset: Sequence[int]) -> np.ndarray:
-    """chi_S at explicit ±1 rows (for spaces that are not a full cube)."""
-    sel = np.asarray(points)[:, list(subset)]
-    return np.prod(sel.astype(np.int64), axis=1).astype(np.int8)

@@ -38,12 +38,9 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import lu_factor, lu_solve
-from scipy.optimize import linprog
 
 from . import config, cube
 from .errors import (ConfigurationError, ContractViolationError,
@@ -53,12 +50,37 @@ from .gf2 import BLOCK_ELEMENTS, popcount_u64
 from .poly import DegTwoPoly, signs
 from .spaces import SampleSpace, VerificationReport, verify_kwise_exact
 
+if TYPE_CHECKING:
+    from scipy import sparse
+
 _CERT_DEN = config.CERT_DENOMINATOR
 _PIVOT_TOL = 1e-9            # LU pivots at or below this count as zero
 _REFINE_BITS = 47            # bits of each refinement correction; support * 2^47
                              # fits int64 for any support below 2^15
 _RECONSTRUCT_EVERY = 4       # refinement steps between reconstruction attempts
 _LIMB_BITS = 31              # limb width of the exact integer matmul
+
+
+# scipy.optimize alone takes about 0.4 s and 50 MiB to import, which commands
+# that solve no LP should not pay.  The solvers stay module attributes, so
+# callers can trace or replace them.
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call."""
+    from scipy.optimize import linprog
+    return linprog(*args, **kwargs)
+
+
+def lu_factor(*args, **kwargs):
+    """``scipy.linalg.lu_factor``, imported on the first call."""
+    from scipy.linalg import lu_factor
+    return lu_factor(*args, **kwargs)
+
+
+def lu_solve(*args, **kwargs):
+    """``scipy.linalg.lu_solve``, imported on the first call."""
+    from scipy.linalg import lu_solve
+    return lu_solve(*args, **kwargs)
 
 
 def sgn_values(p: DegTwoPoly) -> np.ndarray:
@@ -183,6 +205,8 @@ def _butterfly_rows(n: int, masks: np.ndarray) -> sparse.csc_matrix:
     |S| > k are free and have no row.  Row S then holds
     sum_x chi_S(x) w[x], the point-mass row.
     """
+    from scipy import sparse
+
     size = 1 << n
     rows, cols, vals = [], [], []
     for i in range(1, n + 1):

@@ -31,9 +31,6 @@ from itertools import product as iter_product
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gamma as _gamma
-from scipy.special import jv as _besselj
-from scipy.special import roots_legendre
 
 from . import config
 from .errors import ConfigurationError, InconclusiveError
@@ -47,17 +44,20 @@ def bump_norm_const(d: int) -> float:
     """C_d = Gamma(d/2) d(d+2)(d+4) / (16 pi^{d/2}); makes ||b||_2 = 1."""
     if d < 1:
         raise ConfigurationError("dimension must be at least 1")
-    return float(_gamma(d / 2.0) * d * (d + 2) * (d + 4)
+    from scipy.special import gamma     # scipy.special: on first use
+    return float(gamma(d / 2.0) * d * (d + 2) * (d + 4)
                  / (16.0 * math.pi ** (d / 2.0)))
 
 
 def sphere_surface(d: int) -> float:
     """Surface measure of the unit sphere in R^d."""
-    return float(2.0 * math.pi ** (d / 2.0) / _gamma(d / 2.0))
+    from scipy.special import gamma
+    return float(2.0 * math.pi ** (d / 2.0) / gamma(d / 2.0))
 
 
 @lru_cache(maxsize=64)
 def _gl_nodes(npts: int) -> tuple[np.ndarray, np.ndarray]:
+    from scipy.special import roots_legendre
     x, w = roots_legendre(npts)
     return x, w
 
@@ -89,6 +89,7 @@ def _panel_quad(f, lo: float, hi: float, panel: float, npts: int) -> float:
 def _psi_values(d: int, m: int, rho: np.ndarray) -> np.ndarray:
     """m-fold (1/rho d/drho) of g, closed form: the Bessel order shifts
     up by m with alternating sign.  m = 0 is g itself."""
+    from scipy.special import gamma, jv
     nu = d / 2.0 + 1.0 + m
     out = np.empty_like(rho)
     small = rho < _SERIES_CUTOFF
@@ -96,13 +97,13 @@ def _psi_values(d: int, m: int, rho: np.ndarray) -> np.ndarray:
         acc = np.zeros_like(rho[small])
         for j in range(_SERIES_TERMS):
             term = ((-1.0) ** j / (2.0 ** (2 * j + nu)
-                                   * math.factorial(j) * _gamma(j + nu + 1.0)))
+                                   * math.factorial(j) * gamma(j + nu + 1.0)))
             acc = acc + term * rho[small] ** (2 * j)
         out[small] = acc
     big = ~small
     if np.any(big):
         r = rho[big]
-        out[big] = _besselj(nu, r) / r ** nu
+        out[big] = jv(nu, r) / r ** nu
     return 2.0 * math.sqrt(bump_norm_const(d)) * ((-1.0) ** m) * out
 
 
@@ -112,13 +113,6 @@ def bhat_closed_form(d: int, t) -> np.ndarray:
     Series fallback near zero; the evaluator every integral here uses.
     """
     return _psi_values(d, 0, np.abs(np.atleast_1d(np.asarray(t, dtype=np.float64))))
-
-
-def kernel_value(d: int, x) -> float:
-    """B(x) = g(|x|)^2: nonnegative, unit integral."""
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    rho = float(np.linalg.norm(x))
-    return float(bhat_closed_form(d, rho)[0] ** 2)
 
 
 def _kernel_radial(d: int, rho: np.ndarray) -> np.ndarray:
@@ -153,14 +147,18 @@ class UnitIntegralReport:
     passed: bool
 
 
+def _check_scale(c: float) -> None:
+    if not (math.isfinite(c) and c > 0):
+        raise ConfigurationError(f"scale must be finite and positive, got {c}")
+
+
 def check_unit_integral(d: int, c: float = 1.0) -> UnitIntegralReport:
     """Integral of B_c over R^d, which should be 1 (pass at 1e-3).
 
     Scale drops out exactly under substitution, so c only relabels the
     grid.  Radial composite Gauss-Legendre quadrature, for d <= 4.
     """
-    if c <= 0:
-        raise ConfigurationError("scale must be positive")
+    _check_scale(c)
     if d > 4:
         raise ConfigurationError("radial quadrature limited to d <= 4")
     L = 200.0
@@ -416,11 +414,12 @@ def squared_bump_moment(d: int, alpha: Sequence[int]) -> SquaredMomentReport:
     if any(a % 2 for a in alpha):
         exact = 0.0
     else:
+        from scipy.special import gamma
         a_tot = sum(alpha) + d
         angular = 2.0
         for ai in alpha:
-            angular *= _gamma((ai + 1) / 2.0)
-        angular /= _gamma((sum(alpha) + d) / 2.0)
+            angular *= gamma((ai + 1) / 2.0)
+        angular /= gamma((sum(alpha) + d) / 2.0)
         radial = 8.0 / (a_tot * (a_tot + 2) * (a_tot + 4))
         exact = cd * angular * radial
 
@@ -545,8 +544,7 @@ class Mollifier:
     c: float
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ConfigurationError("scale must be positive")
+        _check_scale(self.c)
         if self.d not in (1, 2):
             raise ConfigurationError("mollified evaluation supports d <= 2")
 

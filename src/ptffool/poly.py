@@ -214,7 +214,13 @@ class RegularityReport:
     tau: float
 
 
+def _check_tau(tau: float) -> None:
+    if not (math.isfinite(tau) and tau >= 0.0):
+        raise ConfigurationError(f"tau must be finite and >= 0, got {tau}")
+
+
 def regularity(p: DegTwoPoly, tau: float) -> RegularityReport:
+    _check_tau(tau)
     inf, total = influences(p)
     if total == 0.0:
         raise DegenerateInputError("constant polynomial has no influences")
@@ -240,6 +246,7 @@ class CriticalIndexResult:
 
 
 def critical_index(p: DegTwoPoly, tau: float) -> CriticalIndexResult:
+    _check_tau(tau)
     inf, total = influences(p)
     if total == 0.0:
         raise DegenerateInputError("constant polynomial has no influences")
@@ -349,8 +356,8 @@ def spectral_decompose(p: DegTwoPoly, delta: float) -> SpectralDecomposition:
     Eigenvalues within SPECTRAL_TIE_TOL of ±delta are routed to the
     middle band so the PSD parts keep a strict gap.
     """
-    if delta <= 0:
-        raise ConfigurationError("delta must be positive")
+    if not (math.isfinite(delta) and delta > 0):
+        raise ConfigurationError(f"delta must be finite and positive, got {delta}")
     dec = eigendecompose_symmetric(p.quad)
     vals, Q = dec.eigenvalues, dec.eigenvectors
     tie = config.SPECTRAL_TIE_TOL

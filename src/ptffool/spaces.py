@@ -40,7 +40,6 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import config
 from .cube import fwht_inplace as fwht    # the verifier owns its histogram
@@ -108,13 +107,6 @@ class BernoulliConstruction:
         if self.k % 2:          # the shared parity bit is seed bit 0
             G = np.vstack([np.ones((1, self.n), dtype=np.uint8), G])
         return G
-
-    def point_from_seed(self, seed: int) -> np.ndarray:
-        """The ±1 vector indexed by ``seed``.  Pure and deterministic."""
-        if not (0 <= seed < self.num_seeds):
-            raise ValueError(f"seed {seed} out of range [0, 2^{self.seed_bits})")
-        bits = mod2_matmul(_seed_bits(seed, self.seed_bits), self.generator())
-        return 1 - 2 * bits[0].view(np.int8)
 
     def materialize(self) -> np.ndarray:
         """Every point, row s for seed s."""
@@ -282,6 +274,8 @@ def verify_kwise_exact(space: SampleSpace, k: Optional[int] = None) -> Verificat
     bias so a failure is immediately actionable.
     """
     order = space.k_claimed if k is None else k
+    if order < 0:
+        raise InvalidOrderError(f"order must be >= 0, got {order}")
     n = space.n
     weights, total = _integer_weights(space)
     rows = len(space.points)
@@ -371,6 +365,7 @@ class GaussianSpace:
         """Samples (rows, n) from output bits (rows, columns of G)."""
         rows = bits.shape[0]
         if self.method == "inverse_cdf":
+            from scipy.special import ndtri     # scipy.special: on first use
             width = self.resolution.bit_length() - 1
             levels = bits.reshape(rows, self.n, width) @ (1 << np.arange(width))
             return ndtri((levels + 0.5) / self.resolution)
@@ -425,6 +420,7 @@ class GaussianSpace:
         """Support of one coordinate's marginal (inverse_cdf only)."""
         if self.method != "inverse_cdf":
             raise ConfigurationError("defined for inverse_cdf spaces")
+        from scipy.special import ndtri
         q = self.resolution
         return ndtri((np.arange(q, dtype=np.float64) + 0.5) / q)
 

@@ -1,12 +1,30 @@
-"""Slow reference evaluation of a degree-2 polynomial over the cube, kept
-as a test oracle for ``cube.poly_values``: a Gray-code walk that shares
-no arithmetic with the blocked matrix products it cross-checks."""
+"""Reference paths over the cube, kept for the tests: a slow evaluation of
+a degree-2 polynomial, a test oracle for ``cube.poly_values`` by a
+Gray-code walk that shares no arithmetic with the blocked matrix products
+it cross-checks; a parity column at explicit rows; and a copying
+Walsh-Hadamard transform."""
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
+from ptffool.cube import fwht_inplace
 from ptffool.poly import DegTwoPoly
+
+
+def fwht(values: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform of a copy of ``values``: see
+    ``cube.fwht_inplace``."""
+    return fwht_inplace(np.array(values, copy=True))
+
+
+def parity_column_for_points(points: np.ndarray,
+                             subset: Sequence[int]) -> np.ndarray:
+    """chi_S at explicit ±1 rows (for spaces that are not a full cube)."""
+    sel = np.asarray(points)[:, list(subset)]
+    return np.prod(sel.astype(np.int64), axis=1).astype(np.int8)
 
 
 def poly_values_gray(p: DegTwoPoly) -> np.ndarray:

@@ -16,7 +16,8 @@ from itertools import combinations
 import numpy as np
 from scipy.special import ndtri
 
-from ptffool.gf2 import IRREDUCIBLE, gf_mul_vec, popcount_u64
+from ptffool import spaces
+from ptffool.gf2 import IRREDUCIBLE, gf_mul_vec, mod2_matmul, popcount_u64
 
 
 def gf_mul(a: int, b: int, m: int) -> int:
@@ -69,6 +70,13 @@ def point_from_seed(cons, seed: int) -> np.ndarray:
                 bit ^= bin(y & gf_pow(alpha, 2 * j + 1, cons.m)).count("1") & 1
         out[i] = 1 - 2 * bit
     return out
+
+
+def point_from_generator(cons, seed: int) -> np.ndarray:
+    """One ±1 point as the seed's bits times the generator matrix G, mod 2:
+    the per-seed form of ``materialize``."""
+    bits = mod2_matmul(spaces._seed_bits(seed, cons.seed_bits), cons.generator())
+    return 1 - 2 * bits[0].view(np.int8)
 
 
 def points_for_seeds(cons, seeds: np.ndarray) -> np.ndarray:

@@ -1,6 +1,8 @@
-"""Slow reference paths for the mollifier derivatives, kept as test oracles.
+"""Slow reference paths for the mollifier, kept as test oracles.
 
-These are the per-point evaluations the radial table in
+``kernel_value`` is B at one point, for integrating the kernel directly.
+
+The rest are the per-point evaluations the radial table in
 ``mollify._kernel_partial_grid`` replaced: each partial of g is summed
 term by term with psi_m recomputed at every point for every term, B's
 partials take two such evaluations per product-rule term, and the L1
@@ -15,6 +17,13 @@ import math
 import numpy as np
 
 from ptffool import mollify
+
+
+def kernel_value(d: int, x) -> float:
+    """B(x) = g(|x|)^2: nonnegative, unit integral."""
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    rho = float(np.linalg.norm(x))
+    return float(mollify.bhat_closed_form(d, rho)[0] ** 2)
 
 
 def bhat_partial(d: int, alpha, points: np.ndarray) -> np.ndarray:

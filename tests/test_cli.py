@@ -441,3 +441,72 @@ def test_embedding_with_a_huge_vertex_id_fails_fast(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert "vertex 2 is missing" in err and len(err) < 1024
+
+
+@pytest.mark.parametrize("argv", [
+    ["poly", "info", "--poly", "p.poly", "--tau", "nan"],
+    ["poly", "info", "--poly", "p.poly", "--tau", "inf"],
+    ["poly", "info", "--poly", "p.poly", "--tau", "-1"],
+    ["poly", "decompose", "--poly", "p.poly", "--delta", "nan", "--out", "r.json"],
+    ["poly", "decompose", "--poly", "p.poly", "--delta", "inf", "--out", "r.json"],
+    ["tree", "build", "--poly", "p.poly", "--tau", "nan", "--out", "r.json"],
+    ["ftmol", "check", "--d", "1", "--c", "nan", "--suite", "unit"],
+    ["ftmol", "check", "--d", "1", "--c", "inf", "--suite", "unit"],
+    ["ftmol", "check", "--d", "2", "--c", "nan", "--suite", "mollify"],
+    ["ftmol", "check", "--d", "1", "--c", "inf", "--suite", "mollify"],
+    ["gw", "round", "--graph", "g.graph", "--embedding", "e.emb", "--eps", "nan"],
+    ["kwise", "verify", "--space", "s.space", "--k", "-1"],
+], ids=" ".join)
+def test_bad_numbers_exit_64(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    dump_poly(DegTwoPoly.from_terms(2, quad_terms={(0, 1): 1.0}), "p.poly")
+    spaces.dump_sample_space(spaces.build_kwise_bernoulli(6, 2), "s.space")
+    g = gw.single_edge()
+    gw.dump_graph(g, "g.graph")
+    gw.dump_embedding(gw.generate_test_embedding(g, "antipodal"), "e.emb")
+    assert main(argv) == 64
+    assert not (tmp_path / "r.json").exists()
+
+
+_COLD_START = """
+import json, sys
+from ptffool import cli
+
+def scipy_loaded():
+    return sorted(m for m in ("scipy", "scipy.special", "scipy.optimize")
+                  if m in sys.modules)
+
+poly, space, tree_out = sys.argv[1:]
+seen = {"import": scipy_loaded()}
+codes = [cli.main(argv) for argv in (
+    ["poly", "info", "--poly", poly],
+    ["moments", "--poly", poly, "--k", "4", "--mode", "exact"],
+    ["kwise", "build", "--n", "6", "--k", "2", "--out", space],
+    ["kwise", "verify", "--space", space],
+    ["tree", "build", "--poly", poly, "--tau", "0.2", "--out", tree_out])]
+seen["no_lp"] = scipy_loaded()
+codes.append(cli.main(["ftmol", "check", "--d", "1", "--suite", "unit"]))
+seen["ftmol"] = scipy_loaded()
+codes.append(cli.main(["fool", "lp", "--poly", poly, "--k", "1"]))
+seen["lp"] = scipy_loaded()
+print(json.dumps({"codes": codes, "seen": seen}))
+"""
+
+
+def test_scipy_loads_only_where_it_is_called(tmp_path, product_poly_file):
+    """Cold start: importing the CLI and running the commands that solve no
+    LP load no scipy; mollifier checks load scipy.special, and the first LP
+    scipy.optimize."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", _COLD_START, product_poly_file,
+                           str(tmp_path / "s.space"), str(tmp_path / "t.json")],
+                          capture_output=True, text=True, cwd=str(tmp_path),
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["codes"] == [0] * 7
+    assert out["seen"] == {
+        "import": [], "no_lp": [],
+        "ftmol": ["scipy", "scipy.special"],
+        "lp": ["scipy", "scipy.optimize", "scipy.special"],
+    }
