@@ -204,6 +204,8 @@ def _multi_indices(d: int, max_order: int):
 
 def _cmd_ftmol(args) -> int:
     d, c = args.d, args.c
+    if not (math.isfinite(c) and c > 0):    # every suite's report names c
+        raise ConfigurationError(f"--c must be finite and positive, got {c}")
     statuses: list[tuple[str, str]] = []
     reports: list = []
 

@@ -67,15 +67,19 @@ def gf_mul_vec(a, b, m: int) -> np.ndarray:
     and uint64 never overflows for m <= 24.
     """
     _check_degree(m)
-    poly = np.uint64(IRREDUCIBLE[m])
     cur = np.array(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
     acc = np.zeros(np.broadcast_shapes(cur.shape, b.shape), dtype=np.uint64)
     for bit in range(m):
         acc ^= cur * ((b >> np.uint64(bit)) & np.uint64(1))
-        cur <<= np.uint64(1)
-        cur ^= (cur >> np.uint64(m)) * poly
+        cur = gf_mul_x(cur, m)
     return acc
+
+
+def gf_mul_x(a: np.ndarray, m: int) -> np.ndarray:
+    """a * x in GF(2^m), elementwise: one shift and one reduction step."""
+    a = a << np.uint64(1)
+    return a ^ (a >> np.uint64(m)) * np.uint64(IRREDUCIBLE[m])
 
 
 def gf_powers(base, count: int, m: int) -> np.ndarray:

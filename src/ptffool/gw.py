@@ -33,6 +33,9 @@ from .spaces import GaussianSpace
 
 _GENERATOR_KINDS = ("antipodal", "cycle_optimal", "random_unit")
 
+#: Directions drawn and rounded at a time by ``round_with_space``.
+_TRIALS_PER_BATCH = 8192
+
 
 # --------------------------------------------------------------------------
 # graphs
@@ -222,8 +225,7 @@ def _cut_values(graph: Graph, embedding: Embedding,
 
 def round_with_space(graph: Graph, embedding: Embedding,
                      gspace: Union[GaussianSpace, str],
-                     trials: Optional[int] = None, seed: int = 0,
-                     chunk: int = 8192) -> RoundingReport:
+                     trials: Optional[int] = None, seed: int = 0) -> RoundingReport:
     """Round with directions from a k-wise Gaussian space and compare.
 
     With a GaussianSpace and ``trials`` left as None, the full seed space
@@ -233,9 +235,11 @@ def round_with_space(graph: Graph, embedding: Embedding,
     independent Gaussian directions, the reference the derandomization
     is measured against.
 
-    Sampling is chunked; chunk sums are accumulated in order, so a fixed
-    seed reproduces the report bit for bit regardless of chunk size
-    changes upstream of the defaults.
+    Directions are drawn ``_TRIALS_PER_BATCH`` at a time and a fixed seed
+    reproduces the report bit for bit.  The batch size is part of that
+    seed: a Gaussian space draws a batch's coefficients block by block,
+    one value per direction in each block, so other batch sizes give
+    other directions and another report.
     """
     iid = isinstance(gspace, str)
     if iid and gspace != "iid":
@@ -260,7 +264,7 @@ def round_with_space(graph: Graph, embedding: Embedding,
     pieces = []
     done = 0
     while done < trials:
-        take = min(chunk, trials - done)
+        take = min(_TRIALS_PER_BATCH, trials - done)
         if iid:
             R = rng.standard_normal((take, embedding.dim))
         else:
@@ -280,12 +284,6 @@ def round_with_space(graph: Graph, embedding: Embedding,
 # --------------------------------------------------------------------------
 # file formats: graph lines are "u v" or "u v w", embedding lines are
 # "v dim c1 ... cdim"; vertex ids are 1-based in both.
-
-
-def dump_graph(graph: Graph, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        for u, v, w in graph.edges:
-            fh.write(f"{u + 1} {v + 1} {float(w)!r}\n")
 
 
 def load_graph(path) -> Graph:
@@ -309,14 +307,6 @@ def load_graph(path) -> Graph:
     if not edges:
         raise FormatError("graph file has no edges")
     return Graph(num_vertices=top, edges=tuple(edges))
-
-
-def dump_embedding(embedding: Embedding, path) -> None:
-    d = embedding.dim
-    with open(path, "w", encoding="ascii") as fh:
-        for v in range(embedding.num_vertices):
-            coords = " ".join(f"{float(c)!r}" for c in embedding.vectors[v])
-            fh.write(f"{v + 1} {d} {coords}\n")
 
 
 def load_embedding(path) -> Embedding:

@@ -15,7 +15,8 @@ Two explicit constructions are provided for k-wise independent ±1 vectors:
 Both, and the Gaussian levels below, are GF(2)-linear in the seed bits,
 so every space is one generator matrix G (seed bits x output bits):
 materializing is XOR doubling over the rows of G, sampling is drawn seed
-bits @ G mod 2.
+bits @ G mod 2, or for the Gaussian levels one lookup per byte of each
+m-bit seed block, in a table of that byte's 256 XOR-combinations of rows.
 
 Verification is exact: the biases of all parities of order up to k are
 integers over a common denominator, from one integer Walsh-Hadamard
@@ -45,7 +46,7 @@ from . import config
 from .cube import fwht_inplace as fwht    # the verifier owns its histogram
 from .errors import (ConfigurationError, FormatError, InvalidOrderError,
                      ResourceBudgetError)
-from .gf2 import (BLOCK_ELEMENTS, gf_elements, gf_mul_vec, gf_powers,
+from .gf2 import (BLOCK_ELEMENTS, gf_elements, gf_mul_vec, gf_mul_x, gf_powers,
                   mod2_matmul, unpack_bits, xor_span)
 
 
@@ -53,17 +54,29 @@ from .gf2 import (BLOCK_ELEMENTS, gf_elements, gf_mul_vec, gf_powers,
 # generator matrices
 
 
+def _evaluation_basis(powers: np.ndarray, m: int) -> np.ndarray:
+    """(blocks, m, n) field elements x^b alpha_i^j from the rows alpha_i^j
+    of ``powers``, one multiply-by-x per bit b: the image at coordinate i
+    of seed bit j*m + b, whose seed is k little-endian m-bit blocks c_j."""
+    basis = np.empty((len(powers), m) + powers.shape[1:], dtype=np.uint64)
+    cur = powers
+    for b in range(m):
+        basis[:, b] = cur
+        cur = gf_mul_x(cur, m)
+    return basis
+
+
 def _evaluation_generator(points, k: int, m: int, width: int) -> np.ndarray:
     """G of x_i = the low ``width`` bits of sum_j c_j alpha_i^j in GF(2^m).
+    Columns run coordinate-major, bits least significant first."""
+    powers = gf_powers(np.array(points, dtype=np.uint64), k, m)
+    return unpack_bits(_evaluation_basis(powers, m).reshape(k * m, len(points)), width)
 
-    The seed is k little-endian m-bit blocks c_j, so seed bit j*m + b maps
-    to the field element x^b alpha_i^j.  Columns run coordinate-major,
-    bits least significant first.
-    """
-    alpha = np.array(points, dtype=np.uint64)
-    basis = gf_mul_vec(gf_powers(alpha, k, m)[:, None, :],
-                       np.uint64(1) << np.arange(m, dtype=np.uint64)[:, None], m)
-    return unpack_bits(basis.reshape(k * m, len(alpha)), width)
+
+def _quantiles(levels: np.ndarray, q: int) -> np.ndarray:
+    """The normal quantiles ndtri((levels + 1/2) / q) of q-level uniforms."""
+    from scipy.special import ndtri     # scipy.special: on first use
+    return ndtri((levels + 0.5) / q)
 
 
 def _seed_bits(seed: int, width: int) -> np.ndarray:
@@ -365,40 +378,84 @@ class GaussianSpace:
         """Samples (rows, n) from output bits (rows, columns of G)."""
         rows = bits.shape[0]
         if self.method == "inverse_cdf":
-            from scipy.special import ndtri     # scipy.special: on first use
             width = self.resolution.bit_length() - 1
             levels = bits.reshape(rows, self.n, width) @ (1 << np.arange(width))
-            return ndtri((levels + 0.5) / self.resolution)
+            return _quantiles(levels, self.resolution)
         # each ±1 sum is exact in float64, so counting set bits is identical
         N = self.resolution
         ones = bits.reshape(rows, self.n, N).sum(axis=2, dtype=np.int64)
         return (N - 2 * ones) / math.sqrt(N)
 
+    def _inverse_cdf(self, draw, count: int) -> np.ndarray:
+        """Samples (count, n) from coefficient blocks; ``draw(lo, hi)``
+        returns blocks lo..hi-1 as a (hi - lo, count) uint64 array.
+
+        Four Russians over the field basis: byte t of block j selects one
+        of the 256 XOR-combinations of basis rows x^(8t..8t+7) alpha_i^j,
+        each row the n coordinates' levels packed 64 // width to a uint64
+        word, and the levels are the XOR of one lookup per byte.  Tables
+        are built a run of blocks at a time, a few MiB whatever k is.
+        """
+        n, k, m = self.n, self.k_claimed, self.m
+        mask = np.uint64(self.resolution - 1)
+        width = self.resolution.bit_length() - 1
+        per_word = 64 // width
+        words = -(-n // per_word)
+        shifts = (np.arange(words * per_word, dtype=np.uint64)
+                  % np.uint64(per_word)) * np.uint64(width)
+        nbytes = (m + 7) // 8
+        powers = gf_powers(np.array(self.eval_points, dtype=np.uint64), k, m)
+        # blocks per run: tables, indices and lookups of 8-byte entries stay
+        # at BLOCK_ELEMENTS * 4 bytes (2 MiB) each, as mod2_matmul's do
+        step = max(1, BLOCK_ELEMENTS // (2 * nbytes * words * max(count, 256)))
+        acc = np.zeros((count, words), dtype=np.uint64)
+        for lo in range(0, k, step):
+            hi = min(k, lo + step)
+            tabs = (hi - lo) * nbytes
+            basis = np.zeros((hi - lo, nbytes * 8, words * per_word), dtype=np.uint64)
+            basis[:, :m, :n] = _evaluation_basis(powers[lo:hi], m) & mask
+            rows = np.bitwise_or.reduce(
+                (basis << shifts).reshape(tabs, 8, words, per_word), axis=3)
+            tables = np.empty((tabs, 256, words), dtype=np.uint64)
+            tables[:, 0] = 0
+            for r in range(8):          # XOR doubling over each byte's 8 rows
+                np.bitwise_xor(tables[:, :1 << r], rows[:, r, None],
+                               out=tables[:, 1 << r:2 << r])
+            coefs = draw(lo, hi).astype("<u8", copy=False).view(np.uint8)
+            offsets = 256 * np.arange(tabs, dtype=np.intp).reshape(hi - lo, nbytes, 1)
+            index = np.empty((hi - lo, nbytes, count), dtype=np.intp)
+            for t in range(nbytes):     # byte t of each coefficient, as a table row
+                np.add(coefs.reshape(hi - lo, count, 8)[:, :, t], offsets[:, t],
+                       out=index[:, t])
+            hits = np.take(tables.reshape(tabs * 256, words), index.reshape(tabs, count), axis=0)
+            acc ^= np.bitwise_xor.reduce(hits, axis=0)
+        levels = acc[:, :, None] >> shifts.reshape(words, per_word) & mask
+        return _quantiles(levels.reshape(count, words * per_word)[:, :n], self.resolution)
+
     def sample(self, seed: int) -> np.ndarray:
         """Deterministic sample from an integer seed (any size)."""
         if not 0 <= seed < self.num_seeds:
             raise ValueError(f"seed out of range [0, 2^{self.seed_bits})")
+        if self.method == "inverse_cdf":
+            mask = (1 << self.m) - 1
+            return self._inverse_cdf(lambda lo, hi: np.array(
+                [[seed >> (j * self.m) & mask] for j in range(lo, hi)],
+                dtype=np.uint64), 1)[0]
         return self._z(mod2_matmul(_seed_bits(seed, self.seed_bits),
                                    self.generator()))[0]
 
     def sample_batch(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """(count, n) matrix of samples drawn through ``rng``.
 
-        Equivalent to sampling seeds uniformly: inverse_cdf draws each of
-        its k coefficient blocks with one ``rng.integers`` call, and
-        binomial_sum 32-bit words per row, the first most significant.
-        Seed bits go through G in blocks of a few MB whatever ``count`` is.
+        Equivalent to sampling seeds uniformly: inverse_cdf draws its k
+        coefficient blocks in order, ``count`` values per block, and
+        binomial_sum 32-bit words per row, the first most significant,
+        through G in blocks of a few MB whatever ``count`` is.
         """
-        G = self.generator()
         if self.method == "inverse_cdf":
-            m, k = self.m, self.k_claimed
-            per = max(1, BLOCK_ELEMENTS // (max(1, count) * m))
-            bits = np.zeros((count, G.shape[1]), dtype=np.uint8)
-            for lo in range(0, k, per):
-                coefs = np.stack([rng.integers(0, 1 << m, size=count, dtype=np.uint64)
-                                  for _ in range(min(per, k - lo))], axis=1)
-                bits ^= mod2_matmul(unpack_bits(coefs, m), G[lo * m:(lo + per) * m])
-            return self._z(bits)
+            return self._inverse_cdf(lambda lo, hi: rng.integers(
+                0, 1 << self.m, size=(hi - lo, count), dtype=np.uint64), count)
+        G = self.generator()
         out = np.empty((count, self.n), dtype=np.float64)
         words = (self.seed_bits + 31) // 32
         chunk = max(1, (1 << 22) // max(1, G.shape[1]))
@@ -420,9 +477,15 @@ class GaussianSpace:
         """Support of one coordinate's marginal (inverse_cdf only)."""
         if self.method != "inverse_cdf":
             raise ConfigurationError("defined for inverse_cdf spaces")
-        from scipy.special import ndtri
-        q = self.resolution
-        return ndtri((np.arange(q, dtype=np.float64) + 0.5) / q)
+        return _quantiles(np.arange(self.resolution), self.resolution)
+
+
+def _marginal_variance(q: int) -> float:
+    """Variance of the q-level quantile grid, from its lower half: for q a
+    power of two, (i + 1/2)/q is dyadic and level q-1-i is exactly minus
+    level i."""
+    z = _quantiles(np.arange(q // 2), q)
+    return float(np.mean(z * z))
 
 
 def build_kwise_gaussian(n: int, k: int, method: str = "inverse_cdf",
@@ -445,8 +508,7 @@ def build_kwise_gaussian(n: int, k: int, method: str = "inverse_cdf",
                            resolution=q, m=m,
                            eval_points=tuple(gf_elements(n, m)),
                            seed_bits=k * m)
-        z = gs.marginal_values()
-        var = float(np.mean(z * z))
+        var = _marginal_variance(q)
         if abs(var - 1.0) > variance_tol:
             raise ConfigurationError(
                 f"resolution q={q} gives marginal variance {var:.4f}, "

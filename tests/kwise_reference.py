@@ -3,7 +3,9 @@
 These are the per-seed evaluations the generator-matrix code replaced:
 scalar and per-coordinate Horner evaluation over GF(2^m), popcount inner
 products for the BCH space, 32-bit seed words assembled into Python ints
-for ``binomial_sum``, and a per-subset verifier in Fraction arithmetic.
+for ``binomial_sum``, and a per-subset verifier in Fraction arithmetic;
+and the evaluation generator built from full field products, which the
+multiply-by-x basis replaced.
 They are only fast enough for small instances.
 """
 
@@ -17,7 +19,8 @@ import numpy as np
 from scipy.special import ndtri
 
 from ptffool import spaces
-from ptffool.gf2 import IRREDUCIBLE, gf_mul_vec, mod2_matmul, popcount_u64
+from ptffool.gf2 import (IRREDUCIBLE, gf_mul_vec, gf_powers, mod2_matmul,
+                         popcount_u64, unpack_bits)
 
 
 def gf_mul(a: int, b: int, m: int) -> int:
@@ -42,6 +45,15 @@ def gf_pow(a: int, e: int, m: int) -> int:
         a = gf_mul(a, a, m)
         e >>= 1
     return result
+
+
+def evaluation_generator(points, k: int, m: int, width: int) -> np.ndarray:
+    """G of the low ``width`` bits of sum_j c_j alpha_i^j, with the basis
+    x^b alpha_i^j taken as m full field products, one per b."""
+    alpha = np.array(points, dtype=np.uint64)
+    basis = gf_mul_vec(gf_powers(alpha, k, m)[:, None, :],
+                       np.uint64(1) << np.arange(m, dtype=np.uint64)[:, None], m)
+    return unpack_bits(basis.reshape(k * m, len(alpha)), width)
 
 
 def _split_seed(cons, seed: int) -> tuple[int, list[int]]:

@@ -267,7 +267,6 @@ def test_criterion_10_decomposition_invariants():
     _line(10, "spectral split invariants", failures)
 
 
-@pytest.mark.slow
 def test_criterion_11_gw_rounding():
     failures = []
     t0 = time.monotonic()

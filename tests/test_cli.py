@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import random_poly
+from gw_files import dump_embedding, dump_graph
 from ptffool import config, fooling, gw, spaces, tree
 from ptffool.cli import main
 from ptffool.poly import DegTwoPoly, dump_poly
@@ -177,8 +178,8 @@ def test_gw_round_exact(tmp_path):
     g = gw.single_edge()
     emb = gw.generate_test_embedding(g, "antipodal")
     gpath, epath = str(tmp_path / "g.graph"), str(tmp_path / "e.emb")
-    gw.dump_graph(g, gpath)
-    gw.dump_embedding(emb, epath)
+    dump_graph(g, gpath)
+    dump_embedding(emb, epath)
     csv_path = str(tmp_path / "out.csv")
     assert main(["gw", "round", "--graph", gpath, "--embedding", epath,
                  "--k", "2", "--resolution", "256", "--csv", csv_path]) == 0
@@ -386,8 +387,8 @@ def test_fool_lp_repairs_witness_at_n10_k5(tmp_path):
 ])
 def test_non_ascii_gw_files_exit_64(tmp_path, name, text):
     g = gw.single_edge()
-    gw.dump_graph(g, tmp_path / "g.graph")
-    gw.dump_embedding(gw.generate_test_embedding(g, "antipodal"), tmp_path / "e.emb")
+    dump_graph(g, tmp_path / "g.graph")
+    dump_embedding(gw.generate_test_embedding(g, "antipodal"), tmp_path / "e.emb")
     argv = ["gw", "round", "--graph", str(tmp_path / "g.graph"),
             "--embedding", str(tmp_path / "e.emb"), "--k", "2", "--resolution", "256"]
     assert main(argv) == 0
@@ -433,7 +434,7 @@ def test_moments_value_exact_folds_the_diagonal_exactly(tmp_path):
 
 
 def test_embedding_with_a_huge_vertex_id_fails_fast(tmp_path, capsys):
-    gw.dump_graph(gw.single_edge(), tmp_path / "g.graph")
+    dump_graph(gw.single_edge(), tmp_path / "g.graph")
     (tmp_path / "e.emb").write_text("1 2 1.0 0.0\n10000000 2 -1.0 0.0\n")
     start = time.perf_counter()
     assert main(["gw", "round", "--graph", str(tmp_path / "g.graph"),
@@ -454,6 +455,11 @@ def test_embedding_with_a_huge_vertex_id_fails_fast(tmp_path, capsys):
     ["ftmol", "check", "--d", "1", "--c", "inf", "--suite", "unit"],
     ["ftmol", "check", "--d", "2", "--c", "nan", "--suite", "mollify"],
     ["ftmol", "check", "--d", "1", "--c", "inf", "--suite", "mollify"],
+    ["ftmol", "check", "--d", "2", "--c", "nan", "--suite", "l1"],
+    ["ftmol", "check", "--d", "1", "--c", "inf", "--suite", "tail"],
+    ["ftmol", "check", "--d", "1", "--c=-1", "--suite", "moment"],
+    ["ftmol", "check", "--d", "1", "--c", "0", "--suite", "unit"],
+    ["ftmol", "check", "--d", "1", "--c=-inf", "--suite", "mollify"],
     ["gw", "round", "--graph", "g.graph", "--embedding", "e.emb", "--eps", "nan"],
     ["kwise", "verify", "--space", "s.space", "--k", "-1"],
 ], ids=" ".join)
@@ -462,8 +468,8 @@ def test_bad_numbers_exit_64(tmp_path, monkeypatch, argv):
     dump_poly(DegTwoPoly.from_terms(2, quad_terms={(0, 1): 1.0}), "p.poly")
     spaces.dump_sample_space(spaces.build_kwise_bernoulli(6, 2), "s.space")
     g = gw.single_edge()
-    gw.dump_graph(g, "g.graph")
-    gw.dump_embedding(gw.generate_test_embedding(g, "antipodal"), "e.emb")
+    dump_graph(g, "g.graph")
+    dump_embedding(gw.generate_test_embedding(g, "antipodal"), "e.emb")
     assert main(argv) == 64
     assert not (tmp_path / "r.json").exists()
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gw_files import dump_embedding, dump_graph
 from ptffool import gw, spaces
 from ptffool.errors import ConfigurationError, ContractViolationError
 
@@ -100,6 +101,16 @@ def test_mc_is_reproducible():
     assert a.mean_cut == b.mean_cut
 
 
+def test_k1600_rounding_mean_cut_is_pinned():
+    """Acceptance criterion 11's k=1600 instance: 100,000 directions from
+    seed 5, drawn in batches of 8,192, cut 370,416 edges in all."""
+    c5 = gw.cycle_graph(5)
+    emb = gw.generate_test_embedding(c5, "random_unit", dim=3, seed=11)
+    rep = gw.round_with_space(c5, emb, spaces.build_kwise_gaussian(3, 1600),
+                              trials=100_000, seed=5)
+    assert rep.mean_cut == 3.70416
+
+
 def test_cut_values_zero_inner_product_convention():
     """A direction exactly perpendicular to both endpoints assigns both
     the same side (ties go to +1), so it never cuts the edge."""
@@ -113,7 +124,7 @@ def test_cut_values_zero_inner_product_convention():
 def test_graph_file_round_trip(tmp_path):
     g = gw.cycle_graph(5)
     path = tmp_path / "g.graph"
-    gw.dump_graph(g, path)
+    dump_graph(g, path)
     back = gw.load_graph(path)
     assert back.num_vertices == g.num_vertices
     assert back.edges == g.edges
@@ -123,7 +134,7 @@ def test_embedding_file_round_trip(tmp_path):
     g = gw.cycle_graph(4)
     emb = gw.generate_test_embedding(g, "random_unit", dim=3, seed=1)
     path = tmp_path / "e.emb"
-    gw.dump_embedding(emb, path)
+    dump_embedding(emb, path)
     back = gw.load_embedding(path)
     assert np.allclose(back.vectors, emb.vectors, atol=1e-15)
 

@@ -174,6 +174,8 @@ def test_generator_points_match_per_seed_oracle():
     (3, 1600, "inverse_cdf", None, 30),
     (4, 2, "binomial_sum", 16, 500),
     (3, 3, "binomial_sum", 64, 200),
+    (5, 30, "inverse_cdf", None, 3000),     # 2 words of levels, 3 runs of tables
+    (8, 40, "inverse_cdf", None, 5000),     # 3 words, 8 runs
 ])
 def test_gaussian_samples_bit_identical_to_horner_oracle(n, k, method, resolution, count):
     gs = spaces.build_kwise_gaussian(n, k, method=method, resolution=resolution)
@@ -183,6 +185,29 @@ def test_gaussian_samples_bit_identical_to_horner_oracle(n, k, method, resolutio
                               kwise_reference.sample_batch(gs, size, slow))
     for seed in (0, 5, gs.num_seeds - 1, gs.num_seeds // 7):
         assert np.array_equal(gs.sample(seed), kwise_reference.sample(gs, seed))
+
+
+def test_evaluation_generator_matches_full_product_oracle():
+    """The multiply-by-x basis gives the generator of every Vandermonde
+    construction with n <= 16 and k <= 6, and of the k=1600 Gaussian space."""
+    for n in range(1, 17):
+        for k in range(1, min(n, 6) + 1):
+            cons = spaces._vandermonde_construction(n, k)
+            assert np.array_equal(cons.generator(), kwise_reference.evaluation_generator(
+                cons.eval_points, k, cons.m, 1))
+    gs = spaces.build_kwise_gaussian(3, 1600)
+    assert np.array_equal(gs.generator(), kwise_reference.evaluation_generator(
+        gs.eval_points, 1600, gs.m, gs.resolution.bit_length() - 1))
+
+
+@pytest.mark.parametrize("levels", range(4, 21))
+def test_quantile_grid_is_antisymmetric(levels):
+    """Level q-1-i is exactly minus level i, so the lower half of the grid
+    gives the variance that ``build_kwise_gaussian`` checks."""
+    gs = spaces.build_kwise_gaussian(2, 2, resolution=1 << levels, variance_tol=1.0)
+    z = gs.marginal_values()
+    assert np.array_equal(z[::-1], -z)
+    assert abs(spaces._marginal_variance(1 << levels) - float(np.mean(z * z))) <= 1e-14
 
 
 def test_gaussian_enumeration_matches_per_seed_samples():
