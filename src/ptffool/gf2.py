@@ -4,9 +4,10 @@ over GF(2).
 Field elements are plain integers in [0, 2^m) interpreted as polynomials
 over GF(2); multiplication is carry-less followed by reduction modulo a
 fixed irreducible polynomial, vectorized over uint64 arrays.  A linear
-map over GF(2) is a 0/1 uint8 generator matrix G (input bits x output
-bits): ``xor_span`` gives the image of every input, ``mod2_matmul`` the
-images of given inputs.
+map over GF(2) is a generator matrix G (input bits x output bits), 0/1
+uint8 or its rows packed into uint64 words: ``xor_span`` gives the image
+of every input.  The images of given inputs are table lookups, one per
+input byte, in ``spaces.GaussianSpace``.
 """
 
 from __future__ import annotations
@@ -47,8 +48,9 @@ IRREDUCIBLE = {
 
 MAX_DEGREE = max(IRREDUCIBLE)
 
-#: Most entries of any float32 operand or product in one mod2_matmul step
-#: (2 MiB), so temporaries stay at a few MB whatever the row count.
+#: Most entries of one block of a blocked array step (the fooling LP's
+#: parity rows, the verifier's sign bits, the Gaussian spaces' table
+#: lookups), so temporaries stay at a few MB whatever the row count.
 BLOCK_ELEMENTS = 1 << 19
 
 
@@ -114,30 +116,10 @@ def unpack_bits(values: np.ndarray, width: int) -> np.ndarray:
 
 def xor_span(G: np.ndarray) -> np.ndarray:
     """Row s is the XOR of the rows of G at the set bits of s, for every
-    s < 2^rows(G): the image of every seed, by XOR doubling."""
-    out = np.zeros((1 << G.shape[0], G.shape[1]), dtype=np.uint8)
+    s < 2^rows(G): the image of every seed, by XOR doubling, in G's dtype."""
+    out = np.zeros((1 << G.shape[0], G.shape[1]), dtype=G.dtype)
     for b, row in enumerate(G):
         np.bitwise_xor(out[:1 << b], row, out=out[1 << b:2 << b])
-    return out
-
-
-def mod2_matmul(bits: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """(bits @ G) mod 2 for 0/1 uint8 matrices, exactly.
-
-    float32 BLAS is exact here because each block sums fewer than 2^24
-    products of 0 and 1.  Blocks of rows and of the inner dimension keep
-    every float32 operand and product at BLOCK_ELEMENTS entries or fewer.
-    """
-    rows, inner = bits.shape
-    row_step = max(1, BLOCK_ELEMENTS // max(1, G.shape[1]))
-    step = max(1, min((1 << 24) - 1,
-                      BLOCK_ELEMENTS // max(1, min(rows, row_step), G.shape[1])))
-    out = np.zeros((rows, G.shape[1]), dtype=np.uint8)
-    for lo in range(0, inner, step):
-        block = G[lo:lo + step].astype(np.float32)
-        for r in range(0, rows, row_step):
-            part = bits[r:r + row_step, lo:lo + step].astype(np.float32) @ block
-            out[r:r + row_step] ^= (part.astype(np.int32) & 1).astype(np.uint8)
     return out
 
 

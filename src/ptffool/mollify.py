@@ -455,9 +455,6 @@ class HalfLine:
 
     d = 1
 
-    def indicator(self, y: np.ndarray) -> float:
-        return 1.0 if float(np.atleast_1d(y)[0]) >= self.theta else 0.0
-
 
 @dataclass(frozen=True)
 class Box:
@@ -475,11 +472,6 @@ class Box:
     def d(self) -> int:
         return len(self.lo)
 
-    def indicator(self, y) -> float:
-        y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-        inside = all(l <= v <= h for v, l, h in zip(y, self.lo, self.hi))
-        return 1.0 if inside else 0.0
-
 
 @dataclass(frozen=True)
 class Quadrant:
@@ -487,10 +479,6 @@ class Quadrant:
     corner: tuple[float, float]
 
     d = 2
-
-    def indicator(self, y) -> float:
-        y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-        return 1.0 if bool(np.all(y >= np.asarray(self.corner))) else 0.0
 
 
 _CDF_CAP = 80.0

@@ -12,11 +12,11 @@ Two explicit constructions are provided for k-wise independent ±1 vectors:
   floor(k/2)*m (+1 for odd k) with m = ceil(log2(n+1)), roughly half of
   the Vandermonde length.
 
-Both, and the Gaussian levels below, are GF(2)-linear in the seed bits,
+Both, and the Gaussian spaces below, are GF(2)-linear in the seed bits,
 so every space is one generator matrix G (seed bits x output bits):
-materializing is XOR doubling over the rows of G, sampling is drawn seed
-bits @ G mod 2, or for the Gaussian levels one lookup per byte of each
-m-bit seed block, in a table of that byte's 256 XOR-combinations of rows.
+materializing and enumerating are XOR doubling over the rows of G, and
+a Gaussian sample is one lookup per byte of its seed, in a table of that
+byte's 256 XOR-combinations of G's rows packed into uint64 words.
 
 Verification is exact: the biases of all parities of order up to k are
 integers over a common denominator, from one integer Walsh-Hadamard
@@ -28,9 +28,11 @@ Gaussian spaces come in two flavors.  ``inverse_cdf`` feeds exactly
 k-wise independent uniform levels (the low log2 q bits of the field
 evaluations) through the normal quantile function, so any k coordinates
 are mutually independent and the marginal is a q-level discretization
-of N(0,1).  ``binomial_sum`` averages N bounded-independence bits per
-coordinate, giving mean 0 and variance exactly 1 at the cost of a
-lattice marginal.
+of N(0,1).  ``binomial_sum`` scales the sum of N bits per coordinate, from
+one 2k-wise independent space over all n*N of them, by 1/sqrt(N): mean 0
+and variance exactly 1, a lattice marginal, and every mixed moment of
+degree <= 2k equal to its value under independent coordinates.  Its
+coordinates are not k-wise independent in law.
 """
 
 from __future__ import annotations
@@ -47,41 +49,30 @@ from .cube import fwht_inplace as fwht    # the verifier owns its histogram
 from .errors import (ConfigurationError, FormatError, InvalidOrderError,
                      ResourceBudgetError)
 from .gf2 import (BLOCK_ELEMENTS, gf_elements, gf_mul_vec, gf_mul_x, gf_powers,
-                  mod2_matmul, unpack_bits, xor_span)
+                  popcount_u64, unpack_bits, xor_span)
 
 
 # --------------------------------------------------------------------------
 # generator matrices
 
 
-def _evaluation_basis(powers: np.ndarray, m: int) -> np.ndarray:
-    """(blocks, m, n) field elements x^b alpha_i^j from the rows alpha_i^j
-    of ``powers``, one multiply-by-x per bit b: the image at coordinate i
-    of seed bit j*m + b, whose seed is k little-endian m-bit blocks c_j."""
-    basis = np.empty((len(powers), m) + powers.shape[1:], dtype=np.uint64)
-    cur = powers
+def _evaluation_generator(points, k: int, m: int, width: int) -> np.ndarray:
+    """G of x_i = the low ``width`` bits of sum_j c_j alpha_i^j in GF(2^m),
+    whose seed is k little-endian m-bit blocks c_j: row j*m + b holds the
+    field elements x^b alpha_i^j, one multiply-by-x per bit b.  Columns
+    run coordinate-major, bits least significant first."""
+    cur = gf_powers(np.array(points, dtype=np.uint64), k, m)
+    basis = np.empty((k, m, len(points)), dtype=np.uint64)
     for b in range(m):
         basis[:, b] = cur
         cur = gf_mul_x(cur, m)
-    return basis
-
-
-def _evaluation_generator(points, k: int, m: int, width: int) -> np.ndarray:
-    """G of x_i = the low ``width`` bits of sum_j c_j alpha_i^j in GF(2^m).
-    Columns run coordinate-major, bits least significant first."""
-    powers = gf_powers(np.array(points, dtype=np.uint64), k, m)
-    return unpack_bits(_evaluation_basis(powers, m).reshape(k * m, len(points)), width)
+    return unpack_bits(basis.reshape(k * m, len(points)), width)
 
 
 def _quantiles(levels: np.ndarray, q: int) -> np.ndarray:
     """The normal quantiles ndtri((levels + 1/2) / q) of q-level uniforms."""
     from scipy.special import ndtri     # scipy.special: on first use
     return ndtri((levels + 0.5) / q)
-
-
-def _seed_bits(seed: int, width: int) -> np.ndarray:
-    """The bits of one integer seed as a (1, width) row, least significant first."""
-    return np.array([[(seed >> b) & 1 for b in range(width)]], dtype=np.uint8)
 
 
 # --------------------------------------------------------------------------
@@ -91,9 +82,9 @@ def _seed_bits(seed: int, width: int) -> np.ndarray:
 @dataclass(frozen=True)
 class BernoulliConstruction:
     """A seed-indexed k-wise independent map {0,1}^seed_bits -> {-1,1}^n,
-    GF(2)-linear with generator matrix ``generator()``.  Points can be
-    derived one seed at a time without materializing the full support,
-    which the Gaussian ``binomial_sum`` method relies on when n*N is large.
+    GF(2)-linear with generator matrix ``generator()``.  The Gaussian
+    ``binomial_sum`` method samples it through G and never materializes
+    its support, which is too large when n*N is.
     """
 
     n: int
@@ -341,7 +332,7 @@ def verify_kwise_exact(space: SampleSpace, k: Optional[int] = None) -> Verificat
 
 @dataclass
 class GaussianSpace:
-    """k-wise independent R^n vectors with near-normal marginals.
+    """Bounded-independence R^n vectors with near-normal marginals.
 
     inverse_cdf: coordinate i equals ndtri((u_i + 1/2)/q) where the u_i
     are k-wise independent q-level uniforms obtained from field
@@ -349,8 +340,11 @@ class GaussianSpace:
     k evaluations of a random degree-(k-1) polynomial are jointly
     uniform.
 
-    binomial_sum: coordinate i averages N ±1 values (2k-wise independent
-    across all n*N of them) scaled by 1/sqrt(N).
+    binomial_sum: coordinate i sums N ±1 values (2k-wise independent
+    across all n*N of them), scaled by 1/sqrt(N).  Every mixed moment of
+    degree <= 2k matches independent coordinates exactly, but the
+    coordinates are not k-wise independent: at n=2, k=2, N=16 the joint
+    law of (z1, z2) is up to 0.04 away from the product of its marginals.
     """
 
     n: int
@@ -374,104 +368,105 @@ class GaussianSpace:
                                          self.m, self.resolution.bit_length() - 1)
         return self.underlying.generator()
 
-    def _z(self, bits: np.ndarray) -> np.ndarray:
-        """Samples (rows, n) from output bits (rows, columns of G)."""
-        rows = bits.shape[0]
+    def _packed_rows(self) -> np.ndarray:
+        """G's rows in uint64 words, least significant bit first: inverse_cdf
+        levels 64 // width to a word, each binomial_sum coordinate's N bits
+        in words of its own."""
+        G, n = self.generator(), self.n
+        rows, width = G.shape[0], G.shape[1] // n
+        per_word = 64 // width if self.method == "inverse_cdf" else 1
+        groups = -(-n // per_word)
+        fields = np.zeros((rows, groups * per_word * width), dtype=np.uint8)
+        fields[:, :n * width] = G
+        cells = np.zeros((rows, groups, -(-per_word * width // 64) * 64), dtype=np.uint8)
+        cells[:, :, :per_word * width] = fields.reshape(rows, groups, per_word * width)
+        return np.packbits(cells, axis=2, bitorder="little").view("<u8").reshape(rows, -1)
+
+    def _block_bits(self) -> int:
+        """Bits per seed block: an m-bit field coefficient for inverse_cdf,
+        a byte for binomial_sum; blocks are little-endian in the seed."""
+        return self.m if self.method == "inverse_cdf" else 8
+
+    def _decode(self, words: np.ndarray) -> np.ndarray:
+        """Samples (rows, n) from packed outputs (rows, words)."""
+        rows, cols = words.shape
         if self.method == "inverse_cdf":
             width = self.resolution.bit_length() - 1
-            levels = bits.reshape(rows, self.n, width) @ (1 << np.arange(width))
-            return _quantiles(levels, self.resolution)
-        # each ±1 sum is exact in float64, so counting set bits is identical
+            shifts = np.arange(0, 64 // width * width, width, dtype=np.uint64)
+            levels = words[:, :, None] >> shifts & np.uint64(self.resolution - 1)
+            return _quantiles(levels.reshape(rows, cols * len(shifts))[:, :self.n],
+                              self.resolution)
+        # a coordinate's ±1 sum is N - 2 * (its set bits), exactly
         N = self.resolution
-        ones = bits.reshape(rows, self.n, N).sum(axis=2, dtype=np.int64)
-        return (N - 2 * ones) / math.sqrt(N)
+        ones = popcount_u64(words).reshape(rows, self.n, cols // self.n)
+        return (N - 2 * ones.sum(axis=2, dtype=np.int64)) / math.sqrt(N)
 
-    def _inverse_cdf(self, draw, count: int) -> np.ndarray:
-        """Samples (count, n) from coefficient blocks; ``draw(lo, hi)``
-        returns blocks lo..hi-1 as a (hi - lo, count) uint64 array.
+    def _images(self, draw, count: int) -> np.ndarray:
+        """Packed outputs (count, words) of ``count`` seeds; ``draw(lo, hi)``
+        returns seed blocks lo..hi-1 as a (hi - lo, count) unsigned array.
 
-        Four Russians over the field basis: byte t of block j selects one
-        of the 256 XOR-combinations of basis rows x^(8t..8t+7) alpha_i^j,
-        each row the n coordinates' levels packed 64 // width to a uint64
-        word, and the levels are the XOR of one lookup per byte.  Tables
+        Four Russians: byte t of block j selects one of the 256
+        XOR-combinations of the packed rows of G at bits 8t..8t+7 of that
+        block, and the output is the XOR of one lookup per byte.  Tables
         are built a run of blocks at a time, a few MiB whatever k is.
         """
-        n, k, m = self.n, self.k_claimed, self.m
-        mask = np.uint64(self.resolution - 1)
-        width = self.resolution.bit_length() - 1
-        per_word = 64 // width
-        words = -(-n // per_word)
-        shifts = (np.arange(words * per_word, dtype=np.uint64)
-                  % np.uint64(per_word)) * np.uint64(width)
-        nbytes = (m + 7) // 8
-        powers = gf_powers(np.array(self.eval_points, dtype=np.uint64), k, m)
+        packed, bits = self._packed_rows(), self._block_bits()
+        blocks, nbytes, words = -(-self.seed_bits // bits), -(-bits // 8), packed.shape[1]
+        basis = np.zeros((blocks, nbytes * 8, words), dtype=np.uint64)
+        basis[:, :bits] = np.pad(packed, ((0, blocks * bits - len(packed)), (0, 0))
+                                 ).reshape(blocks, bits, words)
         # blocks per run: tables, indices and lookups of 8-byte entries stay
-        # at BLOCK_ELEMENTS * 4 bytes (2 MiB) each, as mod2_matmul's do
+        # at BLOCK_ELEMENTS * 4 bytes (2 MiB) each
         step = max(1, BLOCK_ELEMENTS // (2 * nbytes * words * max(count, 256)))
         acc = np.zeros((count, words), dtype=np.uint64)
-        for lo in range(0, k, step):
-            hi = min(k, lo + step)
+        for lo in range(0, blocks, step):
+            hi = min(blocks, lo + step)
             tabs = (hi - lo) * nbytes
-            basis = np.zeros((hi - lo, nbytes * 8, words * per_word), dtype=np.uint64)
-            basis[:, :m, :n] = _evaluation_basis(powers[lo:hi], m) & mask
-            rows = np.bitwise_or.reduce(
-                (basis << shifts).reshape(tabs, 8, words, per_word), axis=3)
+            rows = basis[lo:hi].reshape(tabs, 8, words)
             tables = np.empty((tabs, 256, words), dtype=np.uint64)
             tables[:, 0] = 0
             for r in range(8):          # XOR doubling over each byte's 8 rows
                 np.bitwise_xor(tables[:, :1 << r], rows[:, r, None],
                                out=tables[:, 1 << r:2 << r])
-            coefs = draw(lo, hi).astype("<u8", copy=False).view(np.uint8)
+            coefs = draw(lo, hi).astype("<u8", order="C").view(np.uint8)
             offsets = 256 * np.arange(tabs, dtype=np.intp).reshape(hi - lo, nbytes, 1)
             index = np.empty((hi - lo, nbytes, count), dtype=np.intp)
-            for t in range(nbytes):     # byte t of each coefficient, as a table row
+            for t in range(nbytes):     # byte t of each block, as a table row
                 np.add(coefs.reshape(hi - lo, count, 8)[:, :, t], offsets[:, t],
                        out=index[:, t])
             hits = np.take(tables.reshape(tabs * 256, words), index.reshape(tabs, count), axis=0)
             acc ^= np.bitwise_xor.reduce(hits, axis=0)
-        levels = acc[:, :, None] >> shifts.reshape(words, per_word) & mask
-        return _quantiles(levels.reshape(count, words * per_word)[:, :n], self.resolution)
+        return acc
 
     def sample(self, seed: int) -> np.ndarray:
         """Deterministic sample from an integer seed (any size)."""
         if not 0 <= seed < self.num_seeds:
             raise ValueError(f"seed out of range [0, 2^{self.seed_bits})")
-        if self.method == "inverse_cdf":
-            mask = (1 << self.m) - 1
-            return self._inverse_cdf(lambda lo, hi: np.array(
-                [[seed >> (j * self.m) & mask] for j in range(lo, hi)],
-                dtype=np.uint64), 1)[0]
-        return self._z(mod2_matmul(_seed_bits(seed, self.seed_bits),
-                                   self.generator()))[0]
+        bits = self._block_bits()
+        blocks = np.array([[(seed >> j) & ((1 << bits) - 1)]
+                           for j in range(0, self.seed_bits, bits)], dtype=np.uint64)
+        return self._decode(self._images(lambda lo, hi: blocks[lo:hi], 1))[0]
 
     def sample_batch(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """(count, n) matrix of samples drawn through ``rng``.
 
         Equivalent to sampling seeds uniformly: inverse_cdf draws its k
         coefficient blocks in order, ``count`` values per block, and
-        binomial_sum 32-bit words per row, the first most significant,
-        through G in blocks of a few MB whatever ``count`` is.
+        binomial_sum 32-bit words per row, the first most significant.
         """
         if self.method == "inverse_cdf":
-            return self._inverse_cdf(lambda lo, hi: rng.integers(
-                0, 1 << self.m, size=(hi - lo, count), dtype=np.uint64), count)
-        G = self.generator()
-        out = np.empty((count, self.n), dtype=np.float64)
-        words = (self.seed_bits + 31) // 32
-        chunk = max(1, (1 << 22) // max(1, G.shape[1]))
-        for done in range(0, count, chunk):
-            take = min(chunk, count - done)
-            raw = rng.integers(0, 1 << 32, size=(take, words), dtype=np.uint64)
-            seeds = unpack_bits(raw[:, ::-1], 32)[:, :self.seed_bits]
-            out[done:done + take] = self._z(mod2_matmul(seeds, G))
-        return out
+            return self._decode(self._images(lambda lo, hi: rng.integers(
+                0, 1 << self.m, size=(hi - lo, count), dtype=np.uint64), count))
+        raw = rng.integers(0, 1 << 32, size=(count, -(-self.seed_bits // 32)), dtype=np.uint32)
+        seed_bytes = np.ascontiguousarray(raw[:, ::-1], dtype="<u4").view(np.uint8).T
+        return self._decode(self._images(lambda lo, hi: seed_bytes[lo:hi], count))
 
     def enumerate_samples(self, budget: int = config.SUPPORT_BUDGET) -> np.ndarray:
         """All samples, one per seed; needs 2^seed_bits within budget."""
         if self.num_seeds > budget:
             raise ResourceBudgetError(
                 f"2^{self.seed_bits} seeds exceed budget {budget}")
-        return self._z(xor_span(self.generator()))
+        return self._decode(xor_span(self._packed_rows()))
 
     def marginal_values(self) -> np.ndarray:
         """Support of one coordinate's marginal (inverse_cdf only)."""
@@ -492,7 +487,9 @@ def build_kwise_gaussian(n: int, k: int, method: str = "inverse_cdf",
                          resolution: Optional[int] = None,
                          variance_tol: float = config.GAUSSIAN_VARIANCE_TOL
                          ) -> GaussianSpace:
-    """Construct a k-wise independent Gaussian space on R^n."""
+    """Construct a bounded-independence Gaussian space on R^n: k-wise
+    independent for inverse_cdf, for binomial_sum only matching every
+    mixed moment of degree <= 2k (see ``GaussianSpace``)."""
     if not 1 <= k:
         raise InvalidOrderError("k must be >= 1")
     if method == "inverse_cdf":

@@ -18,9 +18,7 @@ from itertools import combinations
 import numpy as np
 from scipy.special import ndtri
 
-from ptffool import spaces
-from ptffool.gf2 import (IRREDUCIBLE, gf_mul_vec, gf_powers, mod2_matmul,
-                         popcount_u64, unpack_bits)
+from ptffool.gf2 import IRREDUCIBLE, gf_mul_vec, gf_powers, popcount_u64, unpack_bits
 
 
 def gf_mul(a: int, b: int, m: int) -> int:
@@ -85,10 +83,10 @@ def point_from_seed(cons, seed: int) -> np.ndarray:
 
 
 def point_from_generator(cons, seed: int) -> np.ndarray:
-    """One ±1 point as the seed's bits times the generator matrix G, mod 2:
-    the per-seed form of ``materialize``."""
-    bits = mod2_matmul(spaces._seed_bits(seed, cons.seed_bits), cons.generator())
-    return 1 - 2 * bits[0].view(np.int8)
+    """One ±1 point as the seed's bits times the generator matrix G, mod 2,
+    by an integer product: the per-seed form of ``materialize``."""
+    bits = np.array([(seed >> b) & 1 for b in range(cons.seed_bits)], dtype=np.int64)
+    return (1 - 2 * ((bits @ cons.generator()) & 1)).astype(np.int8)
 
 
 def points_for_seeds(cons, seeds: np.ndarray) -> np.ndarray:

@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -211,10 +213,80 @@ def test_quantile_grid_is_antisymmetric(levels):
 
 
 def test_gaussian_enumeration_matches_per_seed_samples():
-    gs = spaces.build_kwise_gaussian(2, 2, resolution=256)
+    """Both methods; binomial_sum with one word and with two per coordinate."""
+    for method, resolution in (("inverse_cdf", 256), ("binomial_sum", 16),
+                               ("binomial_sum", 100)):
+        gs = spaces.build_kwise_gaussian(2, 2, method=method, resolution=resolution)
+        zs = gs.enumerate_samples()
+        assert zs.shape == (gs.num_seeds, 2)
+        for seed in (0, 1, 777, gs.num_seeds - 1):
+            assert np.array_equal(zs[seed], gs.sample(seed))
+            assert np.array_equal(zs[seed], kwise_reference.sample(gs, seed))
+
+
+@pytest.mark.parametrize("n,k,method,resolution", [
+    (4, 5, "inverse_cdf", 1024),
+    (5, 30, "inverse_cdf", None),
+    (3, 3, "binomial_sum", 64),         # 3 seed bytes
+    (2, 2, "binomial_sum", 401),        # 20 seed bits, 7 words per coordinate
+    (2, 5, "binomial_sum", 64),         # 40 seed bits: two 32-bit draws per seed
+])
+def test_gaussian_samples_cross_table_runs(monkeypatch, n, k, method, resolution):
+    """One seed block per run of tables: still the oracle's samples."""
+    gs = spaces.build_kwise_gaussian(n, k, method=method, resolution=resolution)
+    monkeypatch.setattr(spaces, "BLOCK_ELEMENTS", 1)
+    fast, slow = np.random.default_rng(9), np.random.default_rng(9)
+    for size in (300, 1):
+        assert np.array_equal(gs.sample_batch(size, fast),
+                              kwise_reference.sample_batch(gs, size, slow))
+    seed = gs.num_seeds // 3
+    assert np.array_equal(gs.sample(seed), kwise_reference.sample(gs, seed))
+
+
+def _iid_sum_moment(N: int, a: int) -> Fraction:
+    """E[S^a] for S the sum of N independent uniform ±1 values."""
+    return Fraction(sum(math.comb(N, b) * (N - 2 * b) ** a for b in range(N + 1)), 2 ** N)
+
+
+@pytest.mark.parametrize("n,k,N", [(2, 2, 16), (3, 2, 16), (3, 1, 20)])
+def test_binomial_sum_matches_iid_moments_up_to_degree_2k(n, k, N):
+    """Over every seed, each mixed moment of the integer sums
+    S_i = N - 2 * ones of degree <= 2k is exactly its value under
+    independent coordinates; some moment of degree 2k + 1 is not."""
+    gs = spaces.build_kwise_gaussian(n, k, method="binomial_sum", resolution=N)
+    scaled = gs.enumerate_samples() * math.sqrt(N)
+    S = np.rint(scaled).astype(np.int64)
+    assert np.allclose(scaled, S, rtol=0, atol=1e-9)
+    def matches(exps):
+        total = sum(int(v) for v in np.prod(S ** np.array(exps), axis=1))
+        return Fraction(total, gs.num_seeds) == math.prod(_iid_sum_moment(N, a) for a in exps)
+    def exponents(degree):
+        return [e for e in itertools.product(range(degree + 1), repeat=n) if sum(e) == degree]
+    assert all(matches(e) for d in range(2 * k + 1) for e in exponents(d))
+    assert not all(matches(e) for e in exponents(2 * k + 1))
+
+
+def test_binomial_sum_is_not_pairwise_independent():
+    """n=2, k=2, N=16: the joint law of (z1, z2) over all 4,096 seeds is
+    about 0.04 away from the product of its marginals."""
+    gs = spaces.build_kwise_gaussian(2, 2, method="binomial_sum", resolution=16)
     zs = gs.enumerate_samples()
-    for seed in (0, 1, 777, gs.num_seeds - 1):
-        assert np.array_equal(zs[seed], kwise_reference.sample(gs, seed))
+    _, codes = np.unique(zs, return_inverse=True)
+    codes = codes.reshape(zs.shape)
+    joint = np.zeros((codes.max() + 1,) * 2)
+    np.add.at(joint, (codes[:, 0], codes[:, 1]), 1 / len(zs))
+    gap = np.abs(joint - np.outer(joint.sum(axis=1), joint.sum(axis=0))).max()
+    assert 0.035 < gap < 0.045
+
+
+def test_popcount_table_fallback_matches_bitwise_count(monkeypatch):
+    """The 16-bit table path that numpy < 2 takes."""
+    v = np.random.default_rng(2).integers(0, 2 ** 64, size=(50, 7), dtype=np.uint64)
+    v[0, :3] = [0, 2 ** 64 - 1, 2 ** 63]
+    want = np.bitwise_count(v)
+    monkeypatch.delattr(np, "bitwise_count")
+    got = gf2.popcount_u64(v)
+    assert got.dtype == np.uint8 and np.array_equal(got, want)
 
 
 @st.composite
