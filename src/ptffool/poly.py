@@ -60,10 +60,8 @@ class DegTwoPoly:
             raise ConfigurationError("coefficients must be finite")
         if not np.array_equal(q, q.T):
             raise ContractViolationError("quad must be exactly symmetric")
-        # Canonical storage: rebuild from the upper triangle so both
-        # halves are bit-identical regardless of how q was assembled.
-        upper = np.triu(q)
-        self.quad = upper + np.triu(q, k=1).T
+        # Canonical storage: q == q.T, and q + 0.0 (every zero made +0.0) is bit-symmetric.
+        self.quad = q + 0.0
 
     # -- construction helpers
 
@@ -393,14 +391,10 @@ def spectral_decompose(p: DegTwoPoly, delta: float) -> SpectralDecomposition:
 
 def dumps_poly(p: DegTwoPoly) -> str:
     lines = [f"{p.n}", f"C {float(p.constant)!r}"]
-    for i in range(p.n):
-        if p.linear[i] != 0.0:
-            lines.append(f"L {i + 1} {float(p.linear[i])!r}")
-    for i in range(p.n):
-        for j in range(i, p.n):
-            coef = p.quad[i, i] if i == j else 2.0 * p.quad[i, j]
-            if coef != 0.0:
-                lines.append(f"Q {i + 1} {j + 1} {float(coef)!r}")
+    lines += [f"L {i + 1} {v!r}" for i, v in enumerate(p.linear.tolist()) if v != 0.0]
+    lines += [f"Q {i + 1} {j + 1} {coef!r}" for i, row in enumerate(p.quad.tolist())
+              for j in range(i, p.n)
+              for coef in (row[i] if i == j else 2.0 * row[j],) if coef != 0.0]
     return "\n".join(lines) + "\n"
 
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -368,10 +369,11 @@ class GaussianSpace:
                                          self.m, self.resolution.bit_length() - 1)
         return self.underlying.generator()
 
+    @cached_property
     def _packed_rows(self) -> np.ndarray:
         """G's rows in uint64 words, least significant bit first: inverse_cdf
         levels 64 // width to a word, each binomial_sum coordinate's N bits
-        in words of its own."""
+        in words of its own.  Built on first use, once per space."""
         G, n = self.generator(), self.n
         rows, width = G.shape[0], G.shape[1] // n
         per_word = 64 // width if self.method == "inverse_cdf" else 1
@@ -410,7 +412,7 @@ class GaussianSpace:
         block, and the output is the XOR of one lookup per byte.  Tables
         are built a run of blocks at a time, a few MiB whatever k is.
         """
-        packed, bits = self._packed_rows(), self._block_bits()
+        packed, bits = self._packed_rows, self._block_bits()
         blocks, nbytes, words = -(-self.seed_bits // bits), -(-bits // 8), packed.shape[1]
         basis = np.zeros((blocks, nbytes * 8, words), dtype=np.uint64)
         basis[:, :bits] = np.pad(packed, ((0, blocks * bits - len(packed)), (0, 0))
@@ -466,13 +468,7 @@ class GaussianSpace:
         if self.num_seeds > budget:
             raise ResourceBudgetError(
                 f"2^{self.seed_bits} seeds exceed budget {budget}")
-        return self._decode(xor_span(self._packed_rows()))
-
-    def marginal_values(self) -> np.ndarray:
-        """Support of one coordinate's marginal (inverse_cdf only)."""
-        if self.method != "inverse_cdf":
-            raise ConfigurationError("defined for inverse_cdf spaces")
-        return _quantiles(np.arange(self.resolution), self.resolution)
+        return self._decode(xor_span(self._packed_rows))
 
 
 def _marginal_variance(q: int) -> float:

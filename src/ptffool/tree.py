@@ -8,10 +8,12 @@ budget ran out.  Reach probabilities are exact dyadic rationals.
 Trees run on the whole cube from one exact evaluation: p's sign at every
 cube point and p's integer form (``poly.integer_form``), each taken once.
 On a node's subcube p_rho = p, so its disagreement counts the root's
-signs over its rows; its influences (if none are left, it goes straight
-to the close-to-constant test) come from p_rho's integer form.  Leaf
-polynomials are for display, rounded once per coefficient from the exact
-restriction, and ``poly_rounded`` marks those that rounding changed.
+signs over a view of the subcube; its influences (if none are left, it
+goes straight to the close-to-constant test) come from p_rho's integer
+form, carried down the path in O(n) int operations a step, and the exact
+check of ``tree_report`` walks the tree the same way.  Leaf polynomials
+are for display, rounded once per coefficient from the exact restriction,
+and ``poly_rounded`` marks those that rounding changed.
 """
 
 from __future__ import annotations
@@ -80,14 +82,18 @@ class Classification:
     disagreement: Optional[Fraction] = None
 
 
-def _verdict(inf: np.ndarray, pr_pos: Fraction, tau: float) -> Classification:
-    """The verdict from exact influences (ints on any scale) and Pr[p_rho >= 0]."""
+def _verdict(inf: list[int], nonneg: int, rows: int, tau: float) -> tuple[str, int, int]:
+    """(kind, majority sign or 0, rows off it) from Inf and Pr[p_rho >= 0] = nonneg / rows."""
+    num, den = tau.as_integer_ratio()
     total = sum(inf)
-    if total and Fraction(max(inf), total) <= tau:
-        return Classification(kind=REGULAR)
-    b, disagreement = (1, 1 - pr_pos) if 2 * pr_pos >= 1 else (-1, pr_pos)
-    kind = CLOSE_TO_CONSTANT if disagreement <= tau else BAD
-    return Classification(kind=kind, sign=b, disagreement=disagreement)
+    if total and max(inf) * den <= num * total:
+        return REGULAR, 0, 0
+    sign, off = (1, rows - nonneg) if 2 * nonneg >= rows else (-1, nonneg)
+    return (CLOSE_TO_CONSTANT if off * den <= num * rows else BAD), sign, off
+
+
+def _classification(kind: str, sign: int, off: int, rows: int) -> Classification:
+    return Classification(kind, sign or None, Fraction(off, rows) if sign else None)
 
 
 def classify_leaf(p_rho: DegTwoPoly, tau: float,
@@ -105,50 +111,49 @@ def classify_leaf(p_rho: DegTwoPoly, tau: float,
         raise ConfigurationError(
             f"test space order {test_space.k_claimed} is below the "
             f"required {floor} for tau={tau}")
-    inf = _ExactForm(p_rho).restrict(())[2]
+    _, lin, rows, _ = _ExactForm(p_rho).root
     pr_pos = test_space.probability(signs(p_rho, test_space.points) >= 0)
-    return _verdict(inf, pr_pos, tau)
+    verdict = _verdict([l * l + r for l, r in zip(lin, rows)], pr_pos.numerator,
+                       pr_pos.denominator, tau)
+    return _classification(*verdict, pr_pos.denominator)
 
 
 class _ExactForm:
     """D p(x) = c + <l, x> + sum_{i<j} U_ij x_i x_j + sum_i d_i x_i^2 in Python
-    ints, restricted along any path exactly.  The diagonal d = D diag(Q)
-    is kept apart so that display polynomials keep it on free variables."""
+    ints.  A restriction p_rho is the state (c, l, r, free) of D p_rho, with
+    r_i = sum_{j free} U_ij^2 so that Inf_i = l_i^2 + r_i, and l_i = r_i = 0
+    off the free variables.  The diagonal d = D diag(Q) is kept apart so
+    that display polynomials keep it on free variables."""
 
     def __init__(self, p: DegTwoPoly):
-        den, c, self.lin, pairs = integer_form(p)
+        den, c, lin, pairs = integer_form(p)
         self.quad, self.den = p.quad, den
-        self.diag = np.array([int(Fraction(v) * den)
-                              for v in np.diag(p.quad).tolist()], dtype=object)
-        self.c = c - sum(self.diag)
-        self.pairs = pairs + pairs.T
-        self.squares = self.pairs * self.pairs
+        self.diag = [int(Fraction(v) * den) for v in np.diag(p.quad).tolist()]
+        U = pairs + pairs.T                   # symmetric: row v is column v
+        self.cols, self.squares = U.tolist(), (U * U).tolist()
+        self.root = (c - sum(self.diag), lin.tolist(),
+                     [sum(row) for row in self.squares], (True,) * p.n)
 
-    def restrict(self, path: Path):
-        """(c, l, Inf, free) of D p_rho, where p_rho fixes x_v = s for each
-        (v, s) on ``path``; Inf_i = l_i^2 + sum_j U_ij^2 over free j."""
-        x = np.zeros(len(self.lin), dtype=object)
-        for v, s in path:
-            x[v] = s
-        free = x == 0
-        c = self.c + sum(self.diag[~free]) + self.lin @ x + x @ self.pairs @ x // 2
-        lin = (self.lin + self.pairs @ x) * free
-        inf = (lin * lin + self.squares[:, free].sum(axis=1)) * free
-        return c, lin, inf, free
+    def fix(self, state: tuple, v: int, s: int) -> tuple:
+        """``state`` with x_v = s: c += d_v + s l_v, l += s U[:, v], r -= U[:, v]^2."""
+        c, lin, rows, free = state
+        free = free[:v] + (False,) + free[v + 1:]
+        return (c + self.diag[v] + s * lin[v],
+                [l + s * u if f else 0 for l, u, f in zip(lin, self.cols[v], free)],
+                [r - q if f else 0 for r, q, f in zip(rows, self.squares[v], free)], free)
 
-    def display(self, path: Path) -> tuple[DegTwoPoly, bool]:
-        """p_rho, each coefficient rounded once, and whether any rounding changed."""
-        c, lin, _, free = self.restrict(path)
-        exact = [c, *lin.tolist()]
+    def rounded(self, state: tuple, path: Path) -> tuple[list[float], np.ndarray, bool]:
+        """(constant and linear part rounded once, quadratic part, whether rounding changed)."""
+        exact = [state[0], *state[1]]
         try:
-            rounded = [v / self.den for v in exact]    # int / int rounds once
+            coefs = [v / self.den for v in exact]     # int / int rounds once
         except OverflowError:
             raise ConfigurationError(
                 f"p restricted along {list(path)} overflows a float") from None
-        quad = np.where(np.outer(free, free), self.quad, 0.0)
-        ratios = [f.as_integer_ratio() for f in rounded]
-        return (DegTwoPoly(len(lin), rounded[0], np.array(rounded[1:]), quad),
-                any(a * self.den != v * b for v, (a, b) in zip(exact, ratios)))
+        ratios = map(float.as_integer_ratio, coefs)
+        changed = any(a * self.den != v * b for v, (a, b) in zip(exact, ratios))
+        free = np.array(state[3], dtype=bool)
+        return coefs, np.where(free[:, None] & free, self.quad, 0.0), changed
 
 
 # --------------------------------------------------------------------------
@@ -183,15 +188,18 @@ class DecisionTree:
     n: int
     root: Union[Node, Leaf]
 
-    def leaves(self) -> Iterator[Leaf]:
-        stack = [self.root]
+    def walk(self, step=None, state=None) -> Iterator[tuple[Union[Node, Leaf], Path, object]]:
+        """(node, path, state) depth first, neg first; a child's state is step(state, var, s)."""
+        stack = [(self.root, (), state)]
         while stack:
-            node = stack.pop()
-            if isinstance(node, Leaf):
-                yield node
-            else:
-                stack.append(node.pos)
-                stack.append(node.neg)
+            node, path, state = stack.pop()
+            yield node, path, state
+            if isinstance(node, Node):
+                stack += [(child, path + ((node.var, s),), step and step(state, node.var, s))
+                          for s, child in ((1, node.pos), (-1, node.neg))]
+
+    def leaves(self) -> Iterator[Leaf]:
+        return (node for node, _, _ in self.walk() if isinstance(node, Leaf))
 
     def depth(self) -> int:
         return max(leaf.depth for leaf in self.leaves())
@@ -232,34 +240,34 @@ def build_tree(p: DegTwoPoly, tau: float, max_depth: Optional[int] = None,
         raise ConfigurationError("max_depth must be nonnegative")
     effective = min(requested, config.TREE_DEPTH_CAP)
     space = default_test_space(p.n, tau)
-    nonneg = signs(p, space.points) >= 0
+    # axis i of the cube is x_i, at index 0 for +1 and 1 for -1 (cube row order)
+    cube = (signs(p, space.points) >= 0).reshape((2,) * p.n).T
     form = _ExactForm(p)
 
     finalized = 0
 
-    def grow(rows: np.ndarray, path: Path) -> Union[Node, Leaf]:
-        # on the rows of its subcube p_rho = p, so the root's signs serve
+    def grow(sub: np.ndarray, path: Path, state: tuple) -> Union[Node, Leaf]:
+        # sub is the cube's view on the subcube, where p_rho = p
         nonlocal finalized
         depth = len(path)
-        inf = form.restrict(path)[2]
-        cls = _verdict(inf, Fraction(int(np.count_nonzero(nonneg[rows])),
-                                     rows.size), tau)
+        inf = [l * l + r for l, r in zip(state[1], state[2])]
+        kind, sign, off = _verdict(inf, int(np.count_nonzero(sub)), sub.size, tau)
         out_of_depth = depth >= effective
         out_of_leaves = finalized + 2 > leaf_budget
-        if cls.kind != BAD or out_of_depth or out_of_leaves:
-            trunc = cls.kind == BAD and (out_of_leaves
-                                         or (out_of_depth and requested > effective))
+        if kind != BAD or out_of_depth or out_of_leaves:
+            trunc = kind == BAD and (out_of_leaves or out_of_depth and requested > effective)
             finalized += 1
-            poly, rounded = form.display(path)
-            return Leaf(poly=poly, classification=cls, depth=depth,
-                        path=path, truncated=trunc, poly_rounded=rounded)
+            coefs, quad, rounded = form.rounded(state, path)
+            return Leaf(poly=DegTwoPoly(p.n, coefs[0], np.array(coefs[1:]), quad),
+                        classification=_classification(kind, sign, off, sub.size),
+                        depth=depth, path=path, truncated=trunc, poly_rounded=rounded)
         var = max(range(p.n), key=inf.__getitem__)     # first of the largest
-        column = space.points[rows, var]
-        neg, pos = (grow(rows[column == s], path + ((var, s),)) for s in (-1, 1))
+        neg, pos = (grow(sub[(slice(None),) * var + (slice(k, k + 1),)],
+                         path + ((var, s),), form.fix(state, var, s))
+                    for k, s in ((1, -1), (0, 1)))
         return Node(var=var, neg=neg, pos=pos)
 
-    root = grow(np.arange(space.num_points), ())
-    return DecisionTree(n=p.n, root=root)
+    return DecisionTree(n=p.n, root=grow(cube, (), form.root))
 
 
 # --------------------------------------------------------------------------
@@ -343,14 +351,16 @@ def _space_reach_check(tree: DecisionTree, space: SampleSpace) -> SpaceReachRepo
 def _composition_check(tree: DecisionTree, p: DegTwoPoly) -> CompositionReport:
     if p.n != tree.n:
         raise ConfigurationError("polynomial and tree dimension mismatch")
-    form = _ExactForm(p)
-    leaves = list(tree.leaves())
-    broken = []
-    for leaf in leaves:
-        poly, rounded = form.display(leaf.path)
-        if (dumps_poly(poly), rounded) != (dumps_poly(leaf.poly), leaf.poly_rounded):
-            broken.append(leaf.path)
-    return CompositionReport(passed=not broken, leaves_checked=len(leaves),
+    form, broken, checked = _ExactForm(p), [], 0
+    for leaf, path, state in tree.walk(form.fix, form.root):
+        if isinstance(leaf, Leaf):
+            checked += 1
+            coefs, quad, rounded = form.rounded(state, path)
+            if (leaf.path != path or leaf.poly_rounded != rounded
+                    or [leaf.poly.constant, *leaf.poly.linear.tolist()] != coefs
+                    or not np.array_equal(leaf.poly.quad, quad)):
+                broken.append(path)
+    return CompositionReport(passed=not broken, leaves_checked=checked,
                              broken_path=broken[0] if broken else None)
 
 
@@ -386,7 +396,7 @@ def tree_report(tree: DecisionTree, p: Optional[DegTwoPoly] = None,
     hist = Counter(leaf.depth for leaf in leaves)
     return TreeReport(
         mass_by_class=by_class, depth_histogram=dict(sorted(hist.items())),
-        deviation=decomposition, exact=not tree.truncated,
+        deviation=decomposition, exact=not any(leaf.truncated for leaf in leaves),
         leaf_count=len(leaves), depth=max(hist),
         space_check=_space_reach_check(tree, space) if space is not None else None,
         composition_check=_composition_check(tree, p) if p is not None else None)

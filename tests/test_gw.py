@@ -111,6 +111,22 @@ def test_k1600_rounding_mean_cut_is_pinned():
     assert rep.mean_cut == 3.70416
 
 
+@pytest.mark.parametrize("method", ["inverse_cdf", "binomial_sum"])
+def test_space_builds_its_packed_generator_once(monkeypatch, method):
+    """Three batches of directions, and G is built for the first only."""
+    calls = []
+    generator = spaces.GaussianSpace.generator
+    monkeypatch.setattr(spaces.GaussianSpace, "generator",
+                        lambda self: calls.append(1) or generator(self))
+    c5 = gw.cycle_graph(5)
+    emb = gw.generate_test_embedding(c5, "random_unit", dim=3, seed=11)
+    gspace = spaces.build_kwise_gaussian(3, 4, method=method)
+    rep = gw.round_with_space(c5, emb, gspace, trials=3 * gw._TRIALS_PER_BATCH - 1, seed=5)
+    assert rep.trials == 3 * gw._TRIALS_PER_BATCH - 1 and len(calls) == 1
+    gspace.sample(0)
+    assert len(calls) == 1
+
+
 def test_cut_values_zero_inner_product_convention():
     """A direction exactly perpendicular to both endpoints assigns both
     the same side (ties go to +1), so it never cuts the edge."""

@@ -157,6 +157,16 @@ def test_asymmetric_quad_rejected():
         DegTwoPoly(n=2, quad=np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_quad_halves_are_stored_bit_identical():
+    """Halves that differ only in the sign of a zero are stored as the upper
+    triangle copied into both halves would store them: every zero +0.0."""
+    q = np.array([[-0.0, 0.0, -0.5], [-0.0, 2.0, 0.0], [-0.5, -0.0, -0.0]])
+    stored = DegTwoPoly(n=3, quad=q).quad
+    upper_twice = np.triu(q) + np.triu(q, 1).T
+    assert stored.tobytes() == upper_twice.tobytes() == stored.T.tobytes()
+    assert not np.signbit(stored[stored == 0.0]).any()
+
+
 @pytest.mark.parametrize("label,matrix", [
     ("non-square", np.zeros((2, 3))),
     ("asymmetric", np.array([[1.0, 2.0], [0.0, 1.0]])),

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tree_reference
 from conftest import fraction_values, random_poly
 from ptffool import spaces, tree
 from ptffool.cube import all_points
 from ptffool.errors import ConfigurationError, FormatError
-from ptffool.poly import DegTwoPoly
+from ptffool.poly import DegTwoPoly, dumps_poly
 
 
 def product_poly() -> DegTwoPoly:
@@ -309,6 +310,62 @@ def test_exact_leaves_on_a_2_54_scale():
     assert 0 < sum(leaf.poly_rounded for leaf in t.leaves()) < 16
 
 
+# --------------------------------------------------------------------------
+# the restriction walked down the tree against the path-based oracle
+
+
+def _assert_walk_matches_reference(p: DegTwoPoly, t: tree.DecisionTree):
+    """Every node's walked state (c, l, Inf, free) is p's integer form
+    restricted from the root along the node's path, and every leaf holds
+    that restriction's display polynomial and rounding flag."""
+    form, ref = tree._ExactForm(p), tree_reference.ExactForm(p)
+    for node, path, (c, lin, rows, free) in t.walk(form.fix, form.root):
+        inf = [l * l + r for l, r in zip(lin, rows)]
+        want_c, want_lin, want_inf, want_free = ref.restrict(path)
+        assert (c, lin, inf, free) == (want_c, want_lin.tolist(), want_inf.tolist(),
+                                       tuple(want_free.tolist())), path
+        if isinstance(node, tree.Leaf):
+            poly, rounded = ref.display(path)
+            assert (dumps_poly(node.poly), node.poly_rounded) == (
+                dumps_poly(poly), rounded), path
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mixed_scale_polys())
+def test_walked_states_match_path_restriction(case):
+    p, tau = case
+    _assert_walk_matches_reference(p, tree.build_tree(p, tau))
+
+
+def _decaying_poly(n: int, rng: np.random.Generator) -> DegTwoPoly:
+    """Coefficients 0.92^i on the 2^-16 grid with random signs: pair
+    weights first, then the linear part."""
+    pairs = n * (n - 1) // 2
+    w = np.round(0.92 ** np.arange(pairs + n) * 2.0 ** 16) / 2.0 ** 16
+    w *= rng.choice([-1.0, 1.0], size=w.size)
+    upper = np.zeros((n, n))
+    upper[np.triu_indices(n, 1)] = w[:pairs]
+    return DegTwoPoly(n, 0.0, w[pairs:], (upper + upper.T) / 2)
+
+
+def _relabel(p: DegTwoPoly, rng: np.random.Generator) -> DegTwoPoly:
+    """p(D x) for a random signed permutation D."""
+    D = np.zeros((p.n, p.n))
+    D[np.arange(p.n), rng.permutation(p.n)] = rng.choice([-1.0, 1.0], size=p.n)
+    return DegTwoPoly(p.n, p.constant, D.T @ p.linear, D.T @ p.quad @ D)
+
+
+def test_walked_states_match_on_relabeled_decaying_polys():
+    base = _decaying_poly(12, np.random.default_rng(4))
+    counts = set()
+    for seed in (1, 2):
+        p = _relabel(base, np.random.default_rng(seed))
+        t = tree.build_tree(p, 0.05)
+        counts.add(t.leaf_count())
+        _assert_walk_matches_reference(p, t)
+    assert len(counts) == 1         # relabeling renames the tree, no more
+
+
 def test_composition_check_catches_a_wrong_leaf(rng):
     p = random_poly(4, rng)
     t = tree.build_tree(p, tau=0.2)
@@ -319,6 +376,35 @@ def test_composition_check_catches_a_wrong_leaf(rng):
     assert not rep.passed and rep.broken_path == leaf.path
     leaf.poly_rounded = True
     assert not tree.tree_report(t, p).composition_check.passed
+
+
+def _nudged(leaf: tree.Leaf) -> None:
+    poly = leaf.poly
+    leaf.poly = DegTwoPoly(poly.n, poly.constant + 2.0 ** -40, poly.linear, poly.quad)
+
+
+def test_composition_check_catches_the_last_leaf():
+    p = _decaying_poly(8, np.random.default_rng(4))
+    t = tree.build_tree(p, tau=0.05)
+    *_, last = t.leaves()
+    assert len(last.path) >= 3 and all(s == 1 for _, s in last.path)
+    _nudged(last)
+    rep = tree.tree_report(t, p).composition_check
+    assert (rep.passed, rep.leaves_checked, rep.broken_path) == (
+        False, t.leaf_count(), last.path)
+
+
+def test_composition_check_on_a_tree_read_back(tmp_path):
+    p = _decaying_poly(8, np.random.default_rng(4))
+    tree.dump_tree(tree.build_tree(p, tau=0.05), tmp_path / "t.json")
+    back = tree.load_tree(tmp_path / "t.json")
+    assert tree.tree_report(back, p).composition_check.passed
+    leaves = list(back.leaves())
+    first, later = leaves[len(leaves) // 3], leaves[-2]
+    later.poly_rounded = not later.poly_rounded      # broken first, found second
+    _nudged(first)
+    rep = tree.tree_report(back, p).composition_check
+    assert (rep.passed, rep.broken_path) == (False, first.path)
 
 
 def _leaf(n: int, depth: int) -> dict:
