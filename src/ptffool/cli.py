@@ -319,6 +319,8 @@ def _cmd_fool_lp(args) -> int:
 
 
 def _cmd_fool_sweep(args) -> int:
+    if args.kmax < 1:
+        raise ConfigurationError(f"--kmax must be at least 1, got {args.kmax}")
     p = load_poly(args.poly)
     reps = fooling.lp_sweep(p, range(1, args.kmax + 1))
     lines = ["k,lp_max,lp_min,uniform,deviation"]

@@ -72,7 +72,8 @@ WITNESS_SUPPORT_TOL = 1e-9
 # --------------------------------------------------------------------------
 # mollifier numerics
 
-#: Relative tolerance target for quadrature-based integral checks.
+#: Largest |integral - 1| at which the kernel's unit-integral quadrature
+#: check passes.
 QUAD_TOL = 1e-3
 
 #: Switch to the Taylor series for the closed-form transform profile when
@@ -98,10 +99,6 @@ GAUSSIAN_VARIANCE_TOL = 1e-2
 
 # --------------------------------------------------------------------------
 # regularity trees
-
-#: Independence margin added on top of the ceil(2*log2(1/tau)) floor when
-#: the builder constructs its own leaf test spaces.
-TREE_TEST_SPACE_MARGIN = 2
 
 #: Hard cap on tree depth regardless of tau.
 TREE_DEPTH_CAP = 18

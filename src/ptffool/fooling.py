@@ -38,7 +38,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -89,28 +89,23 @@ def sgn_values(p: DegTwoPoly) -> np.ndarray:
 
 
 def exact_sgn_expectation(p: DegTwoPoly,
-                          dist: Union[str, SampleSpace] = "uniform"
-                          ) -> Fraction:
-    """E[sgn(p)] as an exact rational, under uniform or a sample space."""
-    if isinstance(dist, str):
-        if dist != "uniform":
-            raise ConfigurationError(f"unknown distribution {dist!r}")
+                          space: Optional[SampleSpace] = None) -> Fraction:
+    """E[sgn(p)] as an exact rational, under ``space`` or else uniform."""
+    if space is None:
         if p.n > config.ENUM_MAX_N:
             raise ResourceBudgetError(
                 f"uniform enumeration capped at n = {config.ENUM_MAX_N}")
         values = sgn_values(p)
         return Fraction(int(np.sum(values, dtype=np.int64)), values.size)
-    space = dist
     if space.n != p.n:
         raise ConfigurationError("space dimension does not match polynomial")
     return 2 * space.probability(signs(p, space.points) >= 0) - 1
 
 
 def indicator_expectation(p: DegTwoPoly,
-                          dist: Union[str, SampleSpace] = "uniform"
-                          ) -> Fraction:
+                          space: Optional[SampleSpace] = None) -> Fraction:
     """E[1{p >= 0}] on the same distributions; equals (1 + E[sgn])/2."""
-    return (1 + exact_sgn_expectation(p, dist)) / 2
+    return (1 + exact_sgn_expectation(p, space)) / 2
 
 
 # --------------------------------------------------------------------------
@@ -159,17 +154,17 @@ class DeviationReport:
     witness_repair_reason: Optional[str] = None
     objective: str = "sgn"               # "sgn" | "indicator"
 
-    def check_order_invariant(self, tol: float = config.LP_FEAS_TOL) -> bool:
+    def check_order_invariant(self) -> bool:
         """lp_min <= uniform <= lp_max, within LP tolerance."""
         if self.lp_max is None or self.lp_min is None:
             return True
-        u = float(self.uniform_expectation)
+        u, tol = float(self.uniform_expectation), config.LP_FEAS_TOL
         return self.lp_min <= u + tol and u - tol <= self.lp_max
 
 
 def deviation(p: DegTwoPoly, space: SampleSpace) -> DeviationReport:
     """Exact |E_space[sgn p] - E_uniform[sgn p]|."""
-    uni = exact_sgn_expectation(p, "uniform")
+    uni = exact_sgn_expectation(p)
     spc = exact_sgn_expectation(p, space)
     dev = abs(spc - uni)
     return DeviationReport(n=p.n, k=space.k_claimed, mode="space",
@@ -250,10 +245,10 @@ class _LpSide:
     n: int
 
 
-def _solve_lp(values: np.ndarray, n: int, k: int, sense: str, objective: str,
-              emit_certificates: bool) -> tuple[DeviationReport, list[_LpSide]]:
+def _solve_lp(values: np.ndarray, n: int, k: int,
+              objective: str) -> tuple[DeviationReport, list[_LpSide]]:
     """The LP driver shared by every objective (integer ``values`` over the
-    cube): solve the requested sides, max first, and return them with a
+    cube): solve the max side, then the min side, and return both with a
     report of the optima, the deviation on both scales and the certificates.
 
     Both forms have one equality row per parity of order <= k plus the
@@ -278,10 +273,8 @@ def _solve_lp(values: np.ndarray, n: int, k: int, sense: str, objective: str,
         cost, bounds, method = s, (0.0, None), "highs-ds"
     b = np.zeros(A.shape[0])
     b[-masks.size] = 1.0
-    sides, devs = [], [0.0]
-    for side_sense, sign, bound in (("max", -1.0, "upper"), ("min", 1.0, "lower")):
-        if sense not in (side_sense, "both"):
-            continue
+    sides = []
+    for side_sense, sign in (("max", -1.0), ("min", 1.0)):
         res = linprog(sign * cost, A_eq=A, b_eq=b, bounds=bounds, method=method)
         if res.status == 1:
             raise InconclusiveError("LP hit its iteration cap")
@@ -289,16 +282,14 @@ def _solve_lp(values: np.ndarray, n: int, k: int, sense: str, objective: str,
             # The uniform distribution is always feasible, so anything but
             # success means the solve itself broke.
             raise ConvergenceError(f"LP solver failure: {res.message}")
-        side = _LpSide(sense=side_sense, optimum=sign * res.fun, weights=res.x[:size],
-                       dual=np.asarray(res.eqlin.marginals)[-masks.size:],
-                       subsets=subsets, masks=masks, objective_values=s,
-                       uniform_expectation=uni, n=n, k=k)
-        sides.append(side)
-        setattr(report, f"lp_{side_sense}", side.optimum)
-        devs.append(-sign * (side.optimum - float(uni)))
-        if emit_certificates:
-            setattr(report, f"certificate_{bound}", sandwich_from_dual(side))
-    report.deviation = max(devs)
+        sides.append(_LpSide(sense=side_sense, optimum=sign * res.fun, weights=res.x[:size],
+                             dual=np.asarray(res.eqlin.marginals)[-masks.size:],
+                             subsets=subsets, masks=masks, objective_values=s,
+                             uniform_expectation=uni, n=n, k=k))
+    hi, lo = sides
+    report.lp_max, report.lp_min = hi.optimum, lo.optimum
+    report.certificate_upper, report.certificate_lower = map(sandwich_from_dual, sides)
+    report.deviation = max(0.0, hi.optimum - float(uni), float(uni) - lo.optimum)
     report.indicator_deviation = (report.deviation if objective == "indicator"
                                   else report.deviation / 2.0)
     return report, sides
@@ -484,26 +475,23 @@ def _repair_witness(side: _LpSide) -> tuple[Optional[SampleSpace], Optional[str]
                        method="lp_witness"), None
 
 
-def worst_case_lp(p: DegTwoPoly, k: int, sense: str = "both",
-                  emit_witness: bool = True,
-                  emit_certificates: bool = True) -> DeviationReport:
+def worst_case_lp(p: DegTwoPoly, k: int,
+                  emit_witness: bool = True) -> DeviationReport:
     """Extremes of E[sgn(p)] over every k-wise independent distribution.
 
-    Solves the point-mass LP exactly as stated: weights over all 2^n
-    cube points, nonnegative, summing to 1, with every parity of order
-    1..k unbiased.  The optimum is attained by a distribution that is
-    itself k-wise independent; it is repaired to exact rational
-    feasibility and attached, along with dual sandwiching certificates.
+    Max and min of the LP over point masses on the 2^n cube points, in
+    either form: nonnegative, summing to 1, every parity of order 1..k
+    unbiased; each with its dual sandwiching certificate.  Each optimum is
+    attained by a k-wise independent distribution, which ``emit_witness``
+    repairs to exact rational feasibility and attaches.
     """
     n = p.n
     if n > config.LP_MAX_N:
         raise ResourceBudgetError(f"LP enumeration capped at n = {config.LP_MAX_N}")
     if not 0 <= k <= n:
         raise ConfigurationError("independence order must lie in 0..n")
-    if sense not in ("max", "min", "both"):
-        raise ConfigurationError("sense must be max, min, or both")
 
-    report, sides = _solve_lp(sgn_values(p), n, k, sense, "sgn", emit_certificates)
+    report, sides = _solve_lp(sgn_values(p), n, k, "sgn")
     if not emit_witness:
         return report
     reasons = []
@@ -519,10 +507,9 @@ def worst_case_lp(p: DegTwoPoly, k: int, sense: str = "both",
     return report
 
 
-def lp_sweep(p: DegTwoPoly, ks: Sequence[int],
-             emit_witness: bool = False) -> list[DeviationReport]:
-    """worst_case_lp across orders, asserting deviation never grows in k."""
-    reports = [worst_case_lp(p, k, emit_witness=emit_witness) for k in sorted(ks)]
+def lp_sweep(p: DegTwoPoly, ks: Sequence[int]) -> list[DeviationReport]:
+    """worst_case_lp without witnesses across orders; deviation may not grow in k."""
+    reports = [worst_case_lp(p, k, emit_witness=False) for k in sorted(ks)]
     for lo, hi in zip(reports, reports[1:]):
         if hi.deviation > lo.deviation + 1e-7:
             raise ContractViolationError(
@@ -535,8 +522,7 @@ def lp_sweep(p: DegTwoPoly, ks: Sequence[int],
 # intersections of threshold functions
 
 
-def intersection_deviation(ps: Sequence[DegTwoPoly], k: int,
-                           sense: str = "both") -> DeviationReport:
+def intersection_deviation(ps: Sequence[DegTwoPoly], k: int) -> DeviationReport:
     """Worst-case LP for the indicator that every polynomial is >= 0.
 
     Same machinery, {0,1} objective; the report's deviation is on the
@@ -555,7 +541,7 @@ def intersection_deviation(ps: Sequence[DegTwoPoly], k: int,
     member = np.ones(1 << n, dtype=np.int64)
     for q in ps:
         member &= (signs(q, points) >= 0).astype(np.int64)
-    return _solve_lp(member, n, k, sense, "indicator", emit_certificates=True)[0]
+    return _solve_lp(member, n, k, "indicator")[0]
 
 
 # --------------------------------------------------------------------------
@@ -582,25 +568,23 @@ def _normalized(p: DegTwoPoly) -> DegTwoPoly:
 
 
 def anticoncentration_probe(p: DegTwoPoly, eps_prime: float, t: float,
-                            space: Union[SampleSpace, str] = "gaussian-mc",
+                            space: Optional[SampleSpace] = None,
                             samples: int = 200_000,
                             seed: int = 0) -> ProbeReport:
     """Pr[|p - t| < eps'] with p normalized to unit non-constant Fourier
-    mass, exactly under a sample space or by Gaussian Monte Carlo.
+    mass, exactly under ``space`` or, without one, by Gaussian Monte Carlo.
 
     Report-only: the bounds this probes have unspecified constants.
     """
-    if eps_prime <= 0:
-        raise ConfigurationError("eps_prime must be positive")
+    if not (0 < eps_prime < math.inf and math.isfinite(t) and samples >= 1):
+        raise ConfigurationError("need finite eps_prime > 0, finite t and samples >= 1")
     q = _normalized(p)
-    if isinstance(space, SampleSpace):
+    if space is not None:
         lo, hi = (Fraction(t) + d * Fraction(eps_prime) for d in (-1, 1))
         prob = space.probability((signs(q, space.points, hi) < 0)
                                  & (signs(q, space.points, lo) > 0))
         return ProbeReport(probability=float(prob), exact=prob, mode="space",
                            eps_prime=eps_prime, t=t)
-    if space != "gaussian-mc":
-        raise ConfigurationError("space must be a SampleSpace or 'gaussian-mc'")
     rng = np.random.default_rng(seed)
     hits = 0
     done = 0

@@ -153,7 +153,7 @@ def _check_scale(c: float) -> None:
 
 
 def check_unit_integral(d: int, c: float = 1.0) -> UnitIntegralReport:
-    """Integral of B_c over R^d, which should be 1 (pass at 1e-3).
+    """Integral of B_c over R^d, which should be 1 (pass at config.QUAD_TOL).
 
     Scale drops out exactly under substitution, so c only relabels the
     grid.  Radial composite Gauss-Legendre quadrature, for d <= 4.
@@ -168,7 +168,7 @@ def check_unit_integral(d: int, c: float = 1.0) -> UnitIntegralReport:
     err = abs(value - 1.0)
     return UnitIntegralReport(d=d, c=c, value=value, abs_error=err,
                               tail_estimate=_radial_tail_mass(d, L),
-                              method="radial", passed=err <= 1e-3)
+                              method="radial", passed=err <= config.QUAD_TOL)
 
 
 # --------------------------------------------------------------------------

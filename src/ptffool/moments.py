@@ -268,6 +268,8 @@ def hypercontractive_tail_check(p: DegTwoPoly, t: float,
     exact by enumeration up to n = 20, Monte Carlo above with `trials`
     uniform cube samples.
     """
+    if not (math.isfinite(t) and (trials is None or trials >= 1)):
+        raise ConfigurationError("need finite t and, if given, trials >= 1")
     d = _poly_degree(p)
     if d == 0:
         raise DegenerateInputError("constant polynomial has no tail to bound")

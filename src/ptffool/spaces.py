@@ -151,7 +151,6 @@ class SampleSpace:
     weights: Optional[list[Fraction]] = None
     seed_bits: Optional[int] = None
     method: str = "explicit"
-    construction: Optional[BernoulliConstruction] = None
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=np.int8)
@@ -194,13 +193,10 @@ class SampleSpace:
                     "seed-based space must have 2^seed_bits points")
 
 
-def build_kwise_bernoulli(n: int, k: int, method: str = "vandermonde_bit",
-                          budget: int = config.SUPPORT_BUDGET) -> SampleSpace:
-    """Construct an exactly k-wise independent space on {-1,1}^n.
-
-    The returned space is uniform over 2^seed_bits rows and carries its
-    construction handle, so callers can re-derive any row from its seed.
-    """
+def build_kwise_bernoulli(n: int, k: int, method: str = "vandermonde_bit") -> SampleSpace:
+    """Construct an exactly k-wise independent space on {-1,1}^n: uniform
+    over its 2^seed_bits rows, one row per seed, at most
+    ``config.SUPPORT_BUDGET`` of them."""
     if not 1 <= k <= n:
         raise InvalidOrderError(f"need 1 <= k <= n, got k={k}, n={n}")
     if method == "vandermonde_bit":
@@ -209,15 +205,12 @@ def build_kwise_bernoulli(n: int, k: int, method: str = "vandermonde_bit",
         cons = _bch_construction(n, k)
     else:
         raise ConfigurationError(f"unknown method {method!r}")
-    if cons.num_seeds > budget:
+    if cons.num_seeds > config.SUPPORT_BUDGET:
         raise ResourceBudgetError(
             f"construction needs support 2^{cons.seed_bits} = "
-            f"{cons.num_seeds} > budget {budget}; "
-            "use the construction handle for seed streaming")
-    points = cons.materialize()
-    return SampleSpace(n=n, k_claimed=k, points=points, weights=None,
-                       seed_bits=cons.seed_bits, method=method,
-                       construction=cons)
+            f"{cons.num_seeds} > budget {config.SUPPORT_BUDGET}")
+    return SampleSpace(n=n, k_claimed=k, points=cons.materialize(), weights=None,
+                       seed_bits=cons.seed_bits, method=method)
 
 
 def sample(space, seed: int) -> np.ndarray:
@@ -463,11 +456,11 @@ class GaussianSpace:
         seed_bytes = np.ascontiguousarray(raw[:, ::-1], dtype="<u4").view(np.uint8).T
         return self._decode(self._images(lambda lo, hi: seed_bytes[lo:hi], count))
 
-    def enumerate_samples(self, budget: int = config.SUPPORT_BUDGET) -> np.ndarray:
-        """All samples, one per seed; needs 2^seed_bits within budget."""
-        if self.num_seeds > budget:
+    def enumerate_samples(self) -> np.ndarray:
+        """All samples, one per seed; needs 2^seed_bits within SUPPORT_BUDGET."""
+        if self.num_seeds > config.SUPPORT_BUDGET:
             raise ResourceBudgetError(
-                f"2^{self.seed_bits} seeds exceed budget {budget}")
+                f"2^{self.seed_bits} seeds exceed budget {config.SUPPORT_BUDGET}")
         return self._decode(xor_span(self._packed_rows))
 
 
@@ -480,9 +473,7 @@ def _marginal_variance(q: int) -> float:
 
 
 def build_kwise_gaussian(n: int, k: int, method: str = "inverse_cdf",
-                         resolution: Optional[int] = None,
-                         variance_tol: float = config.GAUSSIAN_VARIANCE_TOL
-                         ) -> GaussianSpace:
+                         resolution: Optional[int] = None) -> GaussianSpace:
     """Construct a bounded-independence Gaussian space on R^n: k-wise
     independent for inverse_cdf, for binomial_sum only matching every
     mixed moment of degree <= 2k (see ``GaussianSpace``)."""
@@ -502,10 +493,10 @@ def build_kwise_gaussian(n: int, k: int, method: str = "inverse_cdf",
                            eval_points=tuple(gf_elements(n, m)),
                            seed_bits=k * m)
         var = _marginal_variance(q)
-        if abs(var - 1.0) > variance_tol:
+        if abs(var - 1.0) > config.GAUSSIAN_VARIANCE_TOL:
             raise ConfigurationError(
                 f"resolution q={q} gives marginal variance {var:.4f}, "
-                f"outside 1 ± {variance_tol}")
+                f"outside 1 ± {config.GAUSSIAN_VARIANCE_TOL}")
         return gs
     if method == "binomial_sum":
         N = config.BINOMIAL_N_DEFAULT if resolution is None else resolution

@@ -45,15 +45,6 @@ Path = tuple[tuple[int, int], ...]      # ((variable, value), ...) root first
 # derived parameters and leaf classification
 
 
-def test_space_order(tau: float) -> int:
-    """Independence order used for close-to-constant testing.
-
-    The floor ceil(2*log2(1/tau)) is the degree-2 instantiation of the
-    required growth in log(1/tau); the additive margin is a config knob.
-    """
-    return math.ceil(2.0 * math.log2(1.0 / tau)) + config.TREE_TEST_SPACE_MARGIN
-
-
 def default_max_depth(tau: float) -> int:
     """Depth budget: (1/tau) * (2 ln(1/tau))^2, capped by TREE_DEPTH_CAP.
 
@@ -62,13 +53,6 @@ def default_max_depth(tau: float) -> int:
     """
     raw = math.ceil((1.0 / tau) * (2.0 * math.log(1.0 / tau)) ** 2)
     return min(raw, config.TREE_DEPTH_CAP)
-
-
-def default_test_space(n: int, tau: float) -> SampleSpace:
-    """The whole cube, which is independent at every order; above
-    ENUM_MAX_N variables its cap raises ResourceBudgetError."""
-    return SampleSpace(n=n, k_claimed=test_space_order(tau),
-                       points=all_points(n), method="uniform_cube")
 
 
 @dataclass(frozen=True)
@@ -239,9 +223,8 @@ def build_tree(p: DegTwoPoly, tau: float, max_depth: Optional[int] = None,
     if requested < 0:
         raise ConfigurationError("max_depth must be nonnegative")
     effective = min(requested, config.TREE_DEPTH_CAP)
-    space = default_test_space(p.n, tau)
     # axis i of the cube is x_i, at index 0 for +1 and 1 for -1 (cube row order)
-    cube = (signs(p, space.points) >= 0).reshape((2,) * p.n).T
+    cube = (signs(p, all_points(p.n)) >= 0).reshape((2,) * p.n).T
     form = _ExactForm(p)
 
     finalized = 0

@@ -1,5 +1,6 @@
 """Every name that the benchmark tracer, the package exports and the demos
-rely on resolves to an attribute of the package.
+rely on resolves to an attribute of the package, and every constant in
+``config.py`` is read by some other module of the package.
 
 The tracer's table is read from ``perfbench/tracing.py`` as text, so the
 benchmark module is neither imported nor changed here.
@@ -58,3 +59,22 @@ def test_exported_name_resolves(name):
 @pytest.mark.parametrize("module,name", _demo_imports())
 def test_demo_import_resolves(module, name):
     assert hasattr(importlib.import_module(module), name)
+
+
+def test_every_config_constant_is_read():
+    src = ROOT / "src" / "ptffool"
+    constants = {t.id for node in ast.parse((src / "config.py").read_text()).body
+                 if isinstance(node, ast.Assign) for t in node.targets
+                 if isinstance(t, ast.Name) and t.id.isupper()}
+    read = set()
+    for path in src.glob("*.py"):
+        if path.name != "config.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+                elif isinstance(node, ast.Name):
+                    read.add(node.id)
+                elif isinstance(node, ast.alias):
+                    read.add(node.name)
+    assert len(constants) >= 20
+    assert sorted(constants - read) == []

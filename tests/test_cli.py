@@ -462,6 +462,8 @@ def test_embedding_with_a_huge_vertex_id_fails_fast(tmp_path, capsys):
     ["ftmol", "check", "--d", "1", "--c=-inf", "--suite", "mollify"],
     ["gw", "round", "--graph", "g.graph", "--embedding", "e.emb", "--eps", "nan"],
     ["kwise", "verify", "--space", "s.space", "--k", "-1"],
+    ["fool", "sweep", "--poly", "p.poly", "--kmax", "0", "--csv", "r.json"],
+    ["fool", "sweep", "--poly", "p.poly", "--kmax=-2", "--csv", "r.json"],
 ], ids=" ".join)
 def test_bad_numbers_exit_64(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)

@@ -128,7 +128,6 @@ def test_anticoncentration_probe_exact_mode():
 def test_anticoncentration_probe_gaussian_mc():
     p = DegTwoPoly.from_terms(2, linear={0: 1.0, 1: 1.0})
     rep = fooling.anticoncentration_probe(p, eps_prime=0.3, t=0.0,
-                                          space="gaussian-mc",
                                           samples=40_000, seed=9)
     # Gaussian law: P(|Z| <= 0.3) with Z standard normal after scaling
     from math import erf, sqrt

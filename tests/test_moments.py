@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_poly, random_tracefree_symmetric
 from moment_reference import moment_xor_convolution
-from ptffool import moments
+from ptffool import fooling, moments
 from ptffool.errors import (ConfigurationError, ContractViolationError,
                             ResourceBudgetError)
 from ptffool.poly import DegTwoPoly
@@ -130,6 +130,28 @@ def test_tail_check_modes(rng):
     assert rep.passed
     if rep.applicable:
         assert rep.empirical_tail <= rep.bound + 1e-12
+
+
+_LINE = DegTwoPoly.from_terms(2, linear={0: 1.0, 1: 1.0})
+_WIDE = DegTwoPoly.from_terms(21, linear={0: 1.0, 1: 1.0})
+
+
+@pytest.mark.parametrize("call", [
+    lambda: moments.hypercontractive_tail_check(_WIDE, 4.0, trials=-3),
+    lambda: moments.hypercontractive_tail_check(_LINE, math.nan),
+    lambda: moments.hypercontractive_tail_check(_LINE, math.inf),
+    lambda: fooling.anticoncentration_probe(_LINE, 0.3, 0.0, samples=0),
+    lambda: fooling.anticoncentration_probe(_LINE, 0.3, 0.0, samples=-5),
+    lambda: fooling.anticoncentration_probe(_LINE, math.nan, 0.0),
+    lambda: fooling.anticoncentration_probe(_LINE, math.inf, 0.0),
+    lambda: fooling.anticoncentration_probe(_LINE, 0.3, math.nan),
+], ids=["tail-trials-neg", "tail-t-nan", "tail-t-inf", "probe-samples-0",
+        "probe-samples-neg", "probe-eps-nan", "probe-eps-inf", "probe-t-nan"])
+def test_monte_carlo_checks_reject_bad_numbers(call):
+    """No silent pass and no stray ValueError, OverflowError or
+    ZeroDivisionError: every bad count or level is a ConfigurationError."""
+    with pytest.raises(ConfigurationError):
+        call()
 
 
 def test_moment_requires_enumerable():

@@ -12,8 +12,7 @@ from ptffool import config, cube, fooling, spaces
 
 
 def _sides(p, k):
-    return fooling._solve_lp(fooling.sgn_values(p), p.n, k, "both", "sgn",
-                             emit_certificates=False)[1]
+    return fooling._solve_lp(fooling.sgn_values(p), p.n, k, "sgn")[1]
 
 
 def _hand_side(weights, n=2, k=1):
