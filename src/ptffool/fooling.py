@@ -580,6 +580,8 @@ def anticoncentration_probe(p: DegTwoPoly, eps_prime: float, t: float,
         raise ConfigurationError("need finite eps_prime > 0, finite t and samples >= 1")
     q = _normalized(p)
     if space is not None:
+        if space.n != p.n:
+            raise ConfigurationError("space dimension does not match polynomial")
         lo, hi = (Fraction(t) + d * Fraction(eps_prime) for d in (-1, 1))
         prob = space.probability((signs(q, space.points, hi) < 0)
                                  & (signs(q, space.points, lo) > 0))

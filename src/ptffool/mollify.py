@@ -17,14 +17,17 @@ squared-bump moments (closed form against quadrature) check it.
 Derivatives of B are analytic, never finite differences: a radial
 function's partials expand into monomial-times-radial terms where each
 radial factor is again a closed-form Bessel expression, and B's
-derivatives follow by the product rule on g*g.  On a polar quadrature
-grid the radial factors depend on the radius alone, so each is
-evaluated once per radius and the directions supply the monomials.
+derivatives follow by the product rule on g*g.  The L1 norms integrate
+over one fixed polar quadrature grid per dimension, where the radial
+factors depend on the radius alone: psi_0..psi_3 are tabulated once per
+dimension on the grid's radii (``_l1_table``), every norm reads its rows
+from that table, and the directions supply the monomials.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
@@ -40,6 +43,7 @@ _SERIES_TERMS = config.BHAT_SERIES_TERMS
 _PANEL_BLOCK = 5     # quadrature panels per evaluation: a few thousand points in d=2
 
 
+@lru_cache(maxsize=None)
 def bump_norm_const(d: int) -> float:
     """C_d = Gamma(d/2) d(d+2)(d+4) / (16 pi^{d/2}); makes ||b||_2 = 1."""
     if d < 1:
@@ -62,24 +66,36 @@ def _gl_nodes(npts: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _panel_quad(f, lo: float, hi: float, panel: float, npts: int) -> float:
-    """Composite Gauss-Legendre of a vectorized f over [lo, hi].
-
-    f sees the nodes of _PANEL_BLOCK panels at once, as a (panels, npts)
-    array; each panel's weighted sum is kept and the sums meet in fsum.
-    """
-    if hi <= lo:
-        return 0.0
-    x, w = _gl_nodes(npts)
+def _panel_nodes(lo: float, hi: float, panel: float,
+                 npts: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes over [lo, hi], one (npts,) row per
+    panel, and the panels' half widths."""
+    x, _ = _gl_nodes(npts)
     a = np.arange(lo, hi, panel)
     b = np.minimum(a + panel, hi)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return mid[:, None] + half[:, None] * x, half
+
+
+def _panel_sum(f, half: np.ndarray, npts: int) -> float:
+    """Composite Gauss-Legendre sum: f(blk) is the integrand on the node
+    rows of the panels in slice blk, _PANEL_BLOCK panels at a time; each
+    panel's weighted sum is kept and the sums meet in fsum."""
+    _, w = _gl_nodes(npts)
     total = []
-    for s in range(0, a.size, _PANEL_BLOCK):
+    for s in range(0, half.size, _PANEL_BLOCK):
         blk = slice(s, s + _PANEL_BLOCK)
-        vals = f(mid[blk, None] + half[blk, None] * x)
-        total.extend(h * float(np.dot(w, v)) for h, v in zip(half[blk], vals))
+        total.extend(h * float(np.dot(w, v)) for h, v in zip(half[blk], f(blk)))
     return math.fsum(total)
+
+
+def _panel_quad(f, lo: float, hi: float, panel: float, npts: int) -> float:
+    """Composite Gauss-Legendre of a vectorized f over [lo, hi]; f sees
+    the nodes of _PANEL_BLOCK panels at once, as a (panels, npts) array."""
+    if hi <= lo:
+        return 0.0
+    nodes, half = _panel_nodes(lo, hi, panel, npts)
+    return _panel_sum(lambda blk: f(nodes[blk]), half, npts)
 
 
 # --------------------------------------------------------------------------
@@ -175,12 +191,13 @@ def check_unit_integral(d: int, c: float = 1.0) -> UnitIntegralReport:
 # derivatives of the kernel, analytically
 
 
-def _radial_deriv_terms(alpha: Sequence[int]) -> dict[tuple[tuple[int, ...], int], float]:
+@lru_cache(maxsize=None)
+def _radial_deriv_terms(alpha: tuple[int, ...]) -> tuple[tuple[tuple[tuple[int, ...], int], float], ...]:
     """Expand the partial derivative of a radial function into terms.
 
-    Keys are (monomial exponents, radial order m), values are
-    coefficients: the derivative equals sum coeff * x^mono * psi_m(rho).
-    Built by repeated product rule from the base term x^0 psi_0.
+    Each term is ((monomial exponents, radial order m), coefficient): the
+    derivative equals sum coeff * x^mono * psi_m(rho).  Built by repeated
+    product rule from the base term x^0 psi_0.
     """
     d = len(alpha)
     terms: dict[tuple[tuple[int, ...], int], float] = {((0,) * d, 0): 1.0}
@@ -196,33 +213,35 @@ def _radial_deriv_terms(alpha: Sequence[int]) -> dict[tuple[tuple[int, ...], int
                 key = (up, m + 1)
                 nxt[key] = nxt.get(key, 0.0) + cf
             terms = nxt
-    return terms
+    return tuple(terms.items())
 
 
 def _multi_indices_leq(beta: Sequence[int]):
     return iter_product(*(range(b + 1) for b in beta))
 
 
-def _kernel_partial_grid(d: int, beta: Sequence[int], r: np.ndarray,
+def _kernel_partial_grid(beta: tuple[int, ...], psi: Sequence[np.ndarray], r: np.ndarray,
                          omega: np.ndarray) -> np.ndarray:
     """Partial derivative of B = g^2 at every point r * omega_j.
 
-    r is an array of radii, omega a (directions, d) array of unit
-    vectors; the result has shape r.shape + (directions,).  psi_m is
-    evaluated once per radius for m = 0..|beta|, each partial of g is
-    assembled once from its radial terms, and B's partial follows by the
-    product rule on g*g.
+    r is an array of radii, psi[m] the values of psi_m at them for
+    m = 0..|beta| at least, and omega a (directions, d) array of unit
+    vectors; the result has shape r.shape + (directions,).  Each
+    coordinate power is computed once, each partial of g is assembled
+    once from its radial terms, and B's partial follows by the product
+    rule on g*g.
     """
-    psi = [_psi_values(d, m, r)[..., None] for m in range(sum(beta) + 1)]
     coords = r[..., None, None] * omega
+    powers = [[None] + [coords[..., axis] ** e for e in range(1, b + 1)]
+              for axis, b in enumerate(beta)]
 
     def g_partial(alpha):
         out = 0.0
-        for (mono, m), cf in _radial_deriv_terms(alpha).items():
-            vals = psi[m] * cf
+        for (mono, m), cf in _radial_deriv_terms(alpha):
+            vals = psi[m][..., None] * cf
             for axis, e in enumerate(mono):
                 if e:
-                    vals = vals * coords[..., axis] ** e
+                    vals = vals * powers[axis][e]
             out = out + vals
         return out
 
@@ -267,8 +286,8 @@ def _deriv_tail_estimate(d: int, beta: Sequence[int], L: float) -> float:
         rest = tuple(b - a for b, a in zip(beta, alpha))
         t1 = _radial_deriv_terms(alpha)
         t2 = _radial_deriv_terms(rest)
-        for (mono1, m1), c1 in t1.items():
-            for (mono2, m2), c2 in t2.items():
+        for (mono1, m1), c1 in t1:
+            for (mono2, m2), c2 in t2:
                 power = sum(mono1) + sum(mono2)
                 q = (d - 1) + power - (d + m1 + m2 + 3)
                 # q = power - (m1 + m2) - 4 <= -4 since |mono| <= m
@@ -277,40 +296,67 @@ def _deriv_tail_estimate(d: int, beta: Sequence[int], L: float) -> float:
     return surf * total
 
 
+def _multi_index(alpha: Sequence[int], d: int) -> tuple[int, ...]:
+    """alpha as a tuple of d nonnegative ints; anything else is refused."""
+    try:
+        alpha = tuple(operator.index(a) for a in alpha)
+    except TypeError:
+        raise ConfigurationError(f"multi-index entries must be integers, got {alpha!r}") from None
+    if len(alpha) != d:
+        raise ConfigurationError("multi-index length must equal the dimension")
+    if any(a < 0 for a in alpha):
+        raise ConfigurationError("multi-index must be nonnegative")
+    return alpha
+
+
+@lru_cache(maxsize=None)
+def _l1_table(d: int) -> tuple[float, int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``deriv_l1_norm``'s grid in dimension d <= 2, with psi_0..psi_3 on
+    its radii: (cap, npts, radii, half, psi, omega), read-only and shared.
+
+    Unit radial panels over [0, cap] of npts Gauss-Legendre nodes (80 of
+    12 for d=1, 50 of 10 for d=2) with their half widths; psi is
+    (4, panels, npts).  omega is 128 equally spaced directions for d=2
+    and +1 alone for d=1, where |d^k B| is even and the sphere's measure
+    2 counts both sides.
+    """
+    cap, npts = (80.0, 12) if d == 1 else (50.0, 10)
+    radii, half = _panel_nodes(0.0, cap, 1.0, npts)
+    psi = np.stack([_psi_values(d, m, radii) for m in range(4)])
+    if d == 1:
+        omega = np.ones((1, 1))
+    else:
+        theta = np.arange(128) * (2.0 * math.pi / 128)
+        omega = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    for a in (radii, half, psi, omega):
+        a.setflags(write=False)
+    return cap, npts, radii, half, psi, omega
+
+
 def deriv_l1_norm(d: int, beta: Sequence[int]) -> DerivNormReport:
     """L1 norm of the kernel's partial derivative, with the explicit
     2^{|beta|} bound asserted and the factorial-improved bound reported.
 
-    The norm is quadrature over a truncated ball plus an envelope tail
-    estimate; if the estimate exceeds 10% of the bound the report is
-    marked inconclusive and nothing is asserted.
+    The norm is quadrature over a truncated ball, radial panels times
+    equally spaced directions, plus an envelope tail estimate; if the
+    estimate exceeds 10% of the bound the report is marked inconclusive
+    and nothing is asserted.  The grid and psi_0..psi_3 on its radii come
+    from ``_l1_table``, built once per dimension, so a call evaluates no
+    Bessel function after the first in its dimension.
     """
-    beta = tuple(int(b) for b in beta)
-    if len(beta) != d:
-        raise ConfigurationError("multi-index length must equal the dimension")
-    if any(b < 0 for b in beta):
-        raise ConfigurationError("multi-index must be nonnegative")
+    beta = _multi_index(beta, d)
     if sum(beta) > 3 or d > 2:
         raise ConfigurationError("supported range is |beta| <= 3, d <= 2")
 
-    if d == 1:
-        L = 80.0
-        # |d^k B(-x)| = |d^k B(x)|, so integrate the half line twice.
-        value = 2.0 * _panel_quad(
-            lambda x: np.abs(_kernel_partial_grid(1, beta, x, np.ones((1, 1))))[..., 0],
-            0.0, L, 1.0, 12)
-    else:
-        L = 50.0
-        ntheta = 128
-        theta = np.arange(ntheta) * (2.0 * math.pi / ntheta)
-        omega = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    L, npts, radii, half, psi, omega = _l1_table(d)
+    surf = sphere_surface(d)
 
-        def ring(r: np.ndarray) -> np.ndarray:
-            vals = np.abs(_kernel_partial_grid(2, beta, r, omega))
-            return vals.mean(axis=-1) * (2.0 * math.pi) * r
+    def shell(blk: slice) -> np.ndarray:
+        r = radii[blk]
+        vals = np.abs(_kernel_partial_grid(beta, psi[:, blk], r, omega))
+        return vals.mean(axis=-1) * surf * r ** (d - 1)
 
-        value = _panel_quad(ring, 0.0, L, 1.0, 10)
-
+    value = _panel_sum(shell, half, npts)
     tail = _deriv_tail_estimate(d, beta, L)
     k = sum(beta)
     bound_basic = 2.0 ** k
@@ -402,11 +448,7 @@ def squared_bump_moment(d: int, alpha: Sequence[int]) -> SquaredMomentReport:
     (exact for trigonometric polynomials), so agreement is a real
     cross-check, expected to 1e-6 relative.
     """
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != d:
-        raise ConfigurationError("multi-index length must equal the dimension")
-    if any(a < 0 for a in alpha):
-        raise ConfigurationError("multi-index must be nonnegative")
+    alpha = _multi_index(alpha, d)
     if d > 2:
         raise ConfigurationError("bump moments supported for d <= 2")
     cd = bump_norm_const(d)

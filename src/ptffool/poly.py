@@ -66,6 +66,17 @@ class DegTwoPoly:
     # -- construction helpers
 
     @classmethod
+    def _trusted(cls, n: int, constant: float, linear: np.ndarray,
+                 quad: np.ndarray) -> "DegTwoPoly":
+        """A polynomial from parts already in canonical form, neither
+        checked nor copied: a finite float, and finite float64 arrays of
+        shapes (n,) and (n, n) with quad bit-symmetric and free of -0.0,
+        as parts derived from a validated polynomial are."""
+        p = cls.__new__(cls)
+        p.n, p.constant, p.linear, p.quad = n, constant, linear, quad
+        return p
+
+    @classmethod
     def from_terms(cls, n: int, constant: float = 0.0,
                    linear: Optional[dict[int, float]] = None,
                    quad_terms: Optional[dict[tuple[int, int], float]] = None

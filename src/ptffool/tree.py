@@ -12,8 +12,9 @@ signs over a view of the subcube; its influences (if none are left, it
 goes straight to the close-to-constant test) come from p_rho's integer
 form, carried down the path in O(n) int operations a step, and the exact
 check of ``tree_report`` walks the tree the same way.  Leaf polynomials
-are for display, rounded once per coefficient from the exact restriction,
-and ``poly_rounded`` marks those that rounding changed.
+are for display, rounded once per coefficient from the exact restriction
+and built from those and p's validated quadratic part without a second
+check, and ``poly_rounded`` marks those that rounding changed.
 """
 
 from __future__ import annotations
@@ -241,7 +242,7 @@ def build_tree(p: DegTwoPoly, tau: float, max_depth: Optional[int] = None,
             trunc = kind == BAD and (out_of_leaves or out_of_depth and requested > effective)
             finalized += 1
             coefs, quad, rounded = form.rounded(state, path)
-            return Leaf(poly=DegTwoPoly(p.n, coefs[0], np.array(coefs[1:]), quad),
+            return Leaf(poly=DegTwoPoly._trusted(p.n, coefs[0], np.array(coefs[1:]), quad),
                         classification=_classification(kind, sign, off, sub.size),
                         depth=depth, path=path, truncated=trunc, poly_rounded=rounded)
         var = max(range(p.n), key=inf.__getitem__)     # first of the largest

@@ -2,12 +2,14 @@
 
 ``kernel_value`` is B at one point, for integrating the kernel directly.
 
-The rest are the per-point evaluations the radial table in
-``mollify._kernel_partial_grid`` replaced: each partial of g is summed
-term by term with psi_m recomputed at every point for every term, B's
-partials take two such evaluations per product-rule term, and the L1
-norm of a partial is integrated one quadrature panel at a time.  A d=2
-norm costs seconds here.
+The rest are the per-point evaluations that ``mollify`` replaced with
+one radial table per dimension (``mollify._l1_table``: psi_0..psi_3
+evaluated once on the quadrature grid's radii, and read by
+``mollify._kernel_partial_grid`` for every norm).  Here each partial of
+g is summed term by term with psi_m recomputed at every point for every
+term, B's partials take two such evaluations per product-rule term, and
+the L1 norm of a partial is integrated one quadrature panel at a time.
+A d=2 norm costs seconds here.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ def bhat_partial(d: int, alpha, points: np.ndarray) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     rho = np.linalg.norm(pts, axis=1)
     out = np.zeros(pts.shape[0])
-    for (mono, m), cf in mollify._radial_deriv_terms(alpha).items():
+    for (mono, m), cf in mollify._radial_deriv_terms(tuple(alpha)):
         vals = mollify._psi_values(d, m, rho) * cf
         for axis, e in enumerate(mono):
             if e:

@@ -125,6 +125,13 @@ def test_anticoncentration_probe_exact_mode():
     assert rep.exact == Fraction(0)
 
 
+def test_anticoncentration_probe_rejects_a_space_of_another_dimension():
+    p = DegTwoPoly.from_terms(3, linear={0: 1.0, 1: 1.0, 2: 1.0})
+    with pytest.raises(ConfigurationError, match="space dimension does not match polynomial"):
+        fooling.anticoncentration_probe(p, eps_prime=0.5, t=0.0,
+                                        space=spaces.build_kwise_bernoulli(5, 2))
+
+
 def test_anticoncentration_probe_gaussian_mc():
     p = DegTwoPoly.from_terms(2, linear={0: 1.0, 1: 1.0})
     rep = fooling.anticoncentration_probe(p, eps_prime=0.3, t=0.0,

@@ -54,6 +54,17 @@ def test_deriv_l1_bounds_d2():
             assert rep.value <= 2.0 ** sum(beta) + 1e-6
 
 
+@pytest.mark.parametrize("d,beta", [
+    (2, (1.5, 0)), (1, (0.5,)), (2, (1, 2.0)), (2, ("1", 0)),
+    (2, (1,)), (1, (-1,)), (2, (2, 2)), (3, (0, 0, 0)),
+], ids=["fraction-d2", "fraction-d1", "float-integer", "string", "short",
+        "negative", "order-4", "d3"])
+def test_deriv_l1_norm_rejects_bad_multi_indices(d, beta):
+    """A non-integer entry is refused, never truncated to an integer."""
+    with pytest.raises(ConfigurationError):
+        mollify.deriv_l1_norm(d, beta)
+
+
 def test_tail_mass_decreases():
     zs = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
     curve = mollify.tail_mass_curve(1, zs)

@@ -362,6 +362,19 @@ def test_walked_states_match_on_relabeled_decaying_polys():
     assert len(counts) == 1         # relabeling renames the tree, no more
 
 
+def test_leaf_polynomials_are_what_the_checking_constructor_stores(rng):
+    """Leaves skip DegTwoPoly's checks and copies; each must be, bit for
+    bit, what the checking constructor stores from the same parts."""
+    p = _relabel(_decaying_poly(8, rng), rng)
+    for leaf in tree.build_tree(p, 0.05).leaves():
+        q = leaf.poly
+        checked = DegTwoPoly(q.n, q.constant, q.linear, q.quad)
+        assert type(q.constant) is float and q.constant == checked.constant
+        for got, want in ((q.linear, checked.linear), (q.quad, checked.quad)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 def test_composition_check_catches_a_wrong_leaf(rng):
     p = random_poly(4, rng)
     t = tree.build_tree(p, tau=0.2)
