@@ -36,7 +36,3 @@ print(f"random pentagon embedding: exact {exact:.5f}, "
       f"k-wise MC {rep.mean_cut:.5f} +- {rep.ci:.5f}")
 print(f"difference {abs(rep.diff_vs_exact):.5f} "
       f"(allowed drift {0.05 * c5.total_weight:.3f} plus noise)")
-
-# iid reference rounding uses fresh Gaussians, same estimator
-iid = round_with_space(c5, emb, "iid", trials=20_000, seed=6)
-print(f"iid reference: {iid.mean_cut:.5f} +- {iid.ci:.5f} ({iid.mode})")

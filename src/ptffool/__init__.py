@@ -28,7 +28,7 @@ from .moments import (eigenbound_ratio, exact_moment_hypercube,
                       hypercontractive_tail_check, khintchine_check,
                       mc_moment_hypercube, moment_series)
 from .mollify import (Mollifier, check_unit_integral, deriv_l1_norm,
-                      mollify_eval, squared_bump_moment, tail_mass)
+                      squared_bump_moment, tail_mass)
 from .poly import (DegTwoPoly, critical_index, dump_poly, influences,
                    load_poly, regularity, spectral_decompose)
 from .spaces import (GaussianSpace, SampleSpace, build_kwise_bernoulli,
@@ -50,7 +50,7 @@ __all__ = [
     "exact_moment_hypercube", "mc_moment_hypercube", "eigenbound_ratio",
     "khintchine_check", "moment_series", "hypercontractive_tail_check",
     "Mollifier", "check_unit_integral", "deriv_l1_norm", "tail_mass",
-    "squared_bump_moment", "mollify_eval",
+    "squared_bump_moment",
     "exact_sgn_expectation", "indicator_expectation", "deviation",
     "worst_case_lp", "lp_sweep", "intersection_deviation",
     "anticoncentration_probe",

@@ -74,6 +74,15 @@ def _rng_seed(master: int, label: str) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0] >> np.uint64(1))
 
 
+def _write(text: str, path: Optional[str]) -> None:
+    """Write text to the file at path when one was given, stdout otherwise."""
+    if path:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _emit(payload: dict, path: Optional[str], master_seed: int,
           command: str) -> None:
     """Attach the reproducibility envelope and write JSON.
@@ -90,12 +99,7 @@ def _emit(payload: dict, path: Optional[str], master_seed: int,
     body["version"] = _version()
     body["master_seed"] = master_seed
     body["timestamp"] = datetime.now(timezone.utc).isoformat()
-    text = json.dumps(_plain(body), indent=1, sort_keys=True) + "\n"
-    if path:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(_plain(body), indent=1, sort_keys=True) + "\n", path)
 
 
 def _statuses_to_exit(statuses: list[tuple[str, str]]) -> int:
@@ -309,8 +313,7 @@ def _cmd_fool_lp(args) -> int:
     if args.emit_cert:
         cert_body = {"upper": payload["certificate_upper"],
                      "lower": payload["certificate_lower"]}
-        with open(args.emit_cert, "w", encoding="ascii") as fh:
-            fh.write(json.dumps(_plain(cert_body), indent=1, sort_keys=True) + "\n")
+        _write(json.dumps(_plain(cert_body), indent=1, sort_keys=True) + "\n", args.emit_cert)
         payload["certificate_file"] = args.emit_cert
     _emit(payload, args.report, args.seed, "fool lp")
     if not ok:
@@ -327,12 +330,7 @@ def _cmd_fool_sweep(args) -> int:
     for r in reps:
         lines.append(f"{r.k},{r.lp_max + 0.0!r},{r.lp_min + 0.0!r},"
                      f"{float(r.uniform_expectation) + 0.0!r},{r.deviation + 0.0!r}")
-    text = "\n".join(lines) + "\n"
-    if args.csv:
-        with open(args.csv, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.csv)
     return 0
 
 
@@ -362,12 +360,7 @@ def _cmd_gw_round(args) -> int:
     lines = ["mean_cut,ci,diff_vs_exact,exact_cut,k,trials,mode,seed",
              f"{rep.mean_cut!r},{rep.ci!r},{rep.diff_vs_exact!r},"
              f"{rep.exact_cut!r},{k},{rep.trials},{rep.mode},{rep.seed}"]
-    text = "\n".join(lines) + "\n"
-    if args.csv:
-        with open(args.csv, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.csv)
     return 0
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -203,7 +203,7 @@ class RoundingReport:
     trials: int
     mode: str                      # "exact_seed_sweep" | "mc"
     std_error: float
-    k: Optional[int]
+    k: int
     seed: Optional[int]
     min_cut: float
     max_cut: float
@@ -224,16 +224,16 @@ def _cut_values(graph: Graph, embedding: Embedding,
 
 
 def round_with_space(graph: Graph, embedding: Embedding,
-                     gspace: Union[GaussianSpace, str],
+                     gspace: GaussianSpace,
                      trials: Optional[int] = None, seed: int = 0) -> RoundingReport:
     """Round with directions from a k-wise Gaussian space and compare.
 
-    With a GaussianSpace and ``trials`` left as None, the full seed space
-    is enumerated when its size fits the support budget, which makes the
-    reported mean exact over the space (ci 0).  Otherwise ``trials``
-    directions are sampled.  Passing the string "iid" uses fully
-    independent Gaussian directions, the reference the derandomization
-    is measured against.
+    With ``trials`` left as None, the full seed space is enumerated when
+    its size fits the support budget, which makes the reported mean
+    exact over the space (ci 0).  Otherwise ``trials`` directions are
+    sampled.  ``exact_cut`` is the reference the derandomization is
+    measured against: ``expected_cut_exact``, the mean over fully
+    independent Gaussian directions.
 
     Directions are drawn ``_TRIALS_PER_BATCH`` at a time and a fixed seed
     reproduces the report bit for bit.  The batch size is part of that
@@ -241,15 +241,12 @@ def round_with_space(graph: Graph, embedding: Embedding,
     one value per direction in each block, so other batch sizes give
     other directions and another report.
     """
-    iid = isinstance(gspace, str)
-    if iid and gspace != "iid":
-        raise ConfigurationError(f"unknown direction source {gspace!r}")
-    if not iid and gspace.n != embedding.dim:
+    if gspace.n != embedding.dim:
         raise ConfigurationError(
             f"space dimension {gspace.n} != embedding dimension {embedding.dim}")
     exact = expected_cut_exact(graph, embedding)
 
-    if not iid and trials is None:
+    if trials is None:
         cuts = _cut_values(graph, embedding, gspace.enumerate_samples())
         mean = float(math.fsum(cuts) / cuts.size)
         return RoundingReport(
@@ -265,11 +262,7 @@ def round_with_space(graph: Graph, embedding: Embedding,
     done = 0
     while done < trials:
         take = min(_TRIALS_PER_BATCH, trials - done)
-        if iid:
-            R = rng.standard_normal((take, embedding.dim))
-        else:
-            R = gspace.sample_batch(take, rng)
-        pieces.append(_cut_values(graph, embedding, R))
+        pieces.append(_cut_values(graph, embedding, gspace.sample_batch(take, rng)))
         done += take
     cuts = np.concatenate(pieces)
     mean = float(math.fsum(cuts) / trials)
@@ -277,7 +270,7 @@ def round_with_space(graph: Graph, embedding: Embedding,
     return RoundingReport(
         mean_cut=mean, ci=3.0 * se, diff_vs_exact=mean - exact,
         exact_cut=exact, trials=trials, mode="mc", std_error=se,
-        k=None if iid else gspace.k_claimed, seed=seed,
+        k=gspace.k_claimed, seed=seed,
         min_cut=float(cuts.min()), max_cut=float(cuts.max()))
 
 

@@ -62,8 +62,7 @@ def sphere_surface(d: int) -> float:
 @lru_cache(maxsize=64)
 def _gl_nodes(npts: int) -> tuple[np.ndarray, np.ndarray]:
     from scipy.special import roots_legendre
-    x, w = roots_legendre(npts)
-    return x, w
+    return roots_legendre(npts)
 
 
 def _panel_nodes(lo: float, hi: float, panel: float,
@@ -135,17 +134,20 @@ def _kernel_radial(d: int, rho: np.ndarray) -> np.ndarray:
     return bhat_closed_form(d, rho) ** 2
 
 
-def _kernel_tail_envelope(d: int) -> float:
-    """Constant E with B(rho) <= E rho^{-(d+3)} for rho >~ 1 (asymptotic
-    Bessel envelope |J_nu| <= sqrt(2/(pi rho)); an estimate, not a proof)."""
-    return 4.0 * bump_norm_const(d) * 2.0 / math.pi
+def _radial_mass(d: int, lo: float, hi: float) -> float:
+    """Kernel mass over the shell lo <= |x| <= hi, radially integrated."""
+    return sphere_surface(d) * _panel_quad(
+        lambda r: _kernel_radial(d, r) * r ** (d - 1), lo, hi, 1.0, 12)
 
 
 def _radial_tail_mass(d: int, L: float) -> float:
-    """Envelope estimate of the kernel mass beyond radius L."""
+    """Envelope estimate of the kernel mass beyond radius L, from
+    B(rho) <= E rho^{-(d+3)} for rho >~ 1 (asymptotic Bessel envelope
+    |J_nu| <= sqrt(2/(pi rho)); an estimate, not a proof)."""
     if L <= 1.0:
         return math.inf
-    return sphere_surface(d) * _kernel_tail_envelope(d) / (3.0 * L ** 3)
+    envelope = 4.0 * bump_norm_const(d) * 2.0 / math.pi
+    return sphere_surface(d) * envelope / (3.0 * L ** 3)
 
 
 # --------------------------------------------------------------------------
@@ -178,9 +180,7 @@ def check_unit_integral(d: int, c: float = 1.0) -> UnitIntegralReport:
     if d > 4:
         raise ConfigurationError("radial quadrature limited to d <= 4")
     L = 200.0
-    surf = sphere_surface(d)
-    value = surf * _panel_quad(
-        lambda r: _kernel_radial(d, r) * r ** (d - 1), 0.0, L, 1.0, 12)
+    value = _radial_mass(d, 0.0, L)
     err = abs(value - 1.0)
     return UnitIntegralReport(d=d, c=c, value=value, abs_error=err,
                               tail_estimate=_radial_tail_mass(d, L),
@@ -216,8 +216,14 @@ def _radial_deriv_terms(alpha: tuple[int, ...]) -> tuple[tuple[tuple[tuple[int, 
     return tuple(terms.items())
 
 
-def _multi_indices_leq(beta: Sequence[int]):
-    return iter_product(*(range(b + 1) for b in beta))
+def _leibniz(beta: tuple[int, ...]):
+    """Yield (C(beta, alpha), alpha, beta - alpha) for every alpha <= beta:
+    the weights and factors of the product rule for a partial of g*g."""
+    for alpha in iter_product(*(range(b + 1) for b in beta)):
+        comb = 1.0
+        for bi, ai in zip(beta, alpha):
+            comb *= math.comb(bi, ai)
+        yield comb, alpha, tuple(b - a for b, a in zip(beta, alpha))
 
 
 def _kernel_partial_grid(beta: tuple[int, ...], psi: Sequence[np.ndarray], r: np.ndarray,
@@ -245,13 +251,10 @@ def _kernel_partial_grid(beta: tuple[int, ...], psi: Sequence[np.ndarray], r: np
             out = out + vals
         return out
 
-    g = {alpha: g_partial(alpha) for alpha in _multi_indices_leq(beta)}
+    terms = list(_leibniz(beta))
+    g = {alpha: g_partial(alpha) for _, alpha, _ in terms}
     out = np.zeros(coords.shape[:-1])
-    for alpha in g:
-        comb = 1.0
-        for bi, ai in zip(beta, alpha):
-            comb *= math.comb(bi, ai)
-        rest = tuple(b - a for b, a in zip(beta, alpha))
+    for comb, alpha, rest in terms:
         out = out + comb * g[alpha] * g[rest]
     return out
 
@@ -268,7 +271,7 @@ class DerivNormReport:
     passed: bool
 
 
-def _deriv_tail_estimate(d: int, beta: Sequence[int], L: float) -> float:
+def _deriv_tail_estimate(d: int, beta: tuple[int, ...], L: float) -> float:
     """Envelope estimate of the L1 mass of the kernel derivative beyond
     radius L.
 
@@ -279,15 +282,9 @@ def _deriv_tail_estimate(d: int, beta: Sequence[int], L: float) -> float:
     amp = 2.0 * math.sqrt(bump_norm_const(d)) * math.sqrt(2.0 / math.pi)
     surf = sphere_surface(d)
     total = 0.0
-    for alpha in _multi_indices_leq(beta):
-        comb = 1.0
-        for bi, ai in zip(beta, alpha):
-            comb *= math.comb(bi, ai)
-        rest = tuple(b - a for b, a in zip(beta, alpha))
-        t1 = _radial_deriv_terms(alpha)
-        t2 = _radial_deriv_terms(rest)
-        for (mono1, m1), c1 in t1:
-            for (mono2, m2), c2 in t2:
+    for comb, alpha, rest in _leibniz(beta):
+        for (mono1, m1), c1 in _radial_deriv_terms(alpha):
+            for (mono2, m2), c2 in _radial_deriv_terms(rest):
                 power = sum(mono1) + sum(mono2)
                 q = (d - 1) + power - (d + m1 + m2 + 3)
                 # q = power - (m1 + m2) - 4 <= -4 since |mono| <= m
@@ -360,13 +357,9 @@ def deriv_l1_norm(d: int, beta: Sequence[int]) -> DerivNormReport:
     tail = _deriv_tail_estimate(d, beta, L)
     k = sum(beta)
     bound_basic = 2.0 ** k
-    if k == 0:
-        bound_improved = 1.0
-    else:
-        fact = 1.0
-        for b in beta:
-            fact *= math.factorial(b)
-        bound_improved = 2.0 ** k * math.sqrt(fact * k ** (-float(k)))
+    # 2^k sqrt(beta! / k^k), which is 1.0 at k = 0 since 0 ** -0.0 == 1.0
+    beta_fact = math.prod(map(math.factorial, beta))
+    bound_improved = 2.0 ** k * math.sqrt(beta_fact * k ** (-float(k)))
     inconclusive = tail > 0.1 * bound_basic
     passed = (not inconclusive) and value <= bound_basic + 1e-9
     return DerivNormReport(d=d, beta=beta, value=value,
@@ -399,13 +392,8 @@ def tail_mass(d: int, z: float) -> TailMassReport:
         raise ConfigurationError("tail mass supported for d <= 2")
     radius = d * z
     cap = max(4.0 * radius, 240.0)
-    surf = sphere_surface(d)
-
-    def shell(r: np.ndarray) -> np.ndarray:
-        return _kernel_radial(d, r) * r ** (d - 1)
-
-    inside = surf * _panel_quad(shell, 0.0, radius, 1.0, 12)
-    outside = surf * _panel_quad(shell, radius, cap, 1.0, 12)
+    inside = _radial_mass(d, 0.0, radius)
+    outside = _radial_mass(d, radius, cap)
     return TailMassReport(d=d, z=z, value=outside, inside=inside,
                           scaled=outside * z ** 2,
                           identity_gap=abs(inside + outside - 1.0),
@@ -491,22 +479,17 @@ def squared_bump_moment(d: int, alpha: Sequence[int]) -> SquaredMomentReport:
 
 
 @dataclass(frozen=True)
-class HalfLine:
-    """{t : t >= theta} on the real line."""
-    theta: float
-
-    d = 1
-
-
-@dataclass(frozen=True)
 class Box:
-    """Axis-aligned product of closed intervals."""
+    """Axis-aligned product of closed intervals [lo_i, hi_i].  An end may
+    be infinite, so half-lines and quadrants are boxes too."""
     lo: tuple[float, ...]
     hi: tuple[float, ...]
 
     def __post_init__(self):
         if len(self.lo) != len(self.hi):
             raise ConfigurationError("box corners must share a dimension")
+        if any(math.isnan(e) for e in (*self.lo, *self.hi)):
+            raise ConfigurationError("box ends must not be NaN")
         if any(l >= h for l, h in zip(self.lo, self.hi)):
             raise ConfigurationError("box must have positive volume")
 
@@ -515,12 +498,14 @@ class Box:
         return len(self.lo)
 
 
-@dataclass(frozen=True)
-class Quadrant:
-    """{y : y_i >= corner_i for every i} in the plane."""
-    corner: tuple[float, float]
+def HalfLine(theta: float) -> Box:
+    """{t : t >= theta} on the real line."""
+    return Box((theta,), (math.inf,))
 
-    d = 2
+
+def Quadrant(corner: tuple[float, float]) -> Box:
+    """{y : y_i >= corner_i for every i} in the plane."""
+    return Box(tuple(corner), (math.inf, math.inf))
 
 
 _CDF_CAP = 80.0
@@ -541,21 +526,13 @@ def kernel_cdf_2d(u: float, v: float) -> float:
     L = 40.0
     if u <= -L or v <= -L:
         return 0.0
-    uu, vv = min(u, L), min(v, L)
-    per_panel = 8
-    x, w = _gl_nodes(per_panel)
+    _, w = _gl_nodes(8)
 
-    def axis_nodes(hi: float) -> tuple[np.ndarray, np.ndarray]:
-        edges = np.arange(-L, hi, 1.0)
-        ns, ws = [], []
-        for a in edges:
-            b = min(a + 1.0, hi)
-            ns.append(0.5 * (a + b) + 0.5 * (b - a) * x)
-            ws.append(0.5 * (b - a) * w)
-        return np.concatenate(ns), np.concatenate(ws)
+    def axis(hi: float) -> tuple[np.ndarray, np.ndarray]:
+        nodes, half = _panel_nodes(-L, min(hi, L), 1.0, 8)
+        return nodes.ravel(), (half[:, None] * w).ravel()
 
-    nu, wu = axis_nodes(uu)
-    nv, wv = axis_nodes(vv)
+    (nu, wu), (nv, wv) = axis(u), axis(v)
     rho = np.sqrt(nu[:, None] ** 2 + nv[None, :] ** 2)
     vals = _kernel_radial(2, rho.ravel()).reshape(rho.shape)
     return float(wu @ vals @ wv)
@@ -581,30 +558,21 @@ class Mollifier:
     def self_check(self) -> UnitIntegralReport:
         return check_unit_integral(self.d, self.c)
 
-    def mollify(self, region, x) -> float:
-        """(B_c * indicator)(x), reduced to kernel CDF differences."""
-        if getattr(region, "d") != self.d:
+    def mollify(self, region: Box, x) -> float:
+        """(B_c * indicator of the box)(x): inclusion-exclusion of the
+        kernel CDF over the box's 2^d corners, first axis fastest, where a
+        CDF at an infinite end is exactly 0."""
+        if region.d != self.d:
             raise ConfigurationError("region dimension mismatch")
         x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        c = self.c
-        if isinstance(region, HalfLine):
-            return kernel_cdf_1d(c * (float(x[0]) - region.theta))
-        if isinstance(region, Box) and self.d == 1:
-            lo, hi = region.lo[0], region.hi[0]
-            return (kernel_cdf_1d(c * (float(x[0]) - lo))
-                    - kernel_cdf_1d(c * (float(x[0]) - hi)))
-        if isinstance(region, Quadrant):
-            return kernel_cdf_2d(c * (float(x[0]) - region.corner[0]),
-                                 c * (float(x[1]) - region.corner[1]))
-        if isinstance(region, Box) and self.d == 2:
-            (a1, a2), (b1, b2) = region.lo, region.hi
-            u_a, u_b = c * (float(x[0]) - a1), c * (float(x[0]) - b1)
-            v_a, v_b = c * (float(x[1]) - a2), c * (float(x[1]) - b2)
-            return (kernel_cdf_2d(u_a, v_a) - kernel_cdf_2d(u_b, v_a)
-                    - kernel_cdf_2d(u_a, v_b) + kernel_cdf_2d(u_b, v_b))
-        raise ConfigurationError(f"unsupported region {region!r}")
-
-
-def mollify_eval(region, c: float, x) -> float:
-    """Smoothed indicator of the region at x, at kernel scale c."""
-    return Mollifier(d=getattr(region, "d"), c=c).mollify(region, x)
+        if x.shape != (self.d,) or not np.all(np.isfinite(x)):
+            raise ConfigurationError(
+                f"point must have {self.d} finite coordinates, got {x.tolist()}")
+        cdf = kernel_cdf_1d if self.d == 1 else kernel_cdf_2d
+        ends = [(self.c * (float(t) - lo), self.c * (float(t) - hi))
+                for t, lo, hi in zip(x, region.lo, region.hi)]
+        total = 0.0
+        for corner in iter_product((0, 1), repeat=self.d):
+            pick = corner[::-1]
+            total += (-1) ** sum(pick) * cdf(*(e[j] for e, j in zip(ends, pick)))
+        return total

@@ -213,7 +213,7 @@ def build_kwise_bernoulli(n: int, k: int, method: str = "vandermonde_bit") -> Sa
                        seed_bits=cons.seed_bits, method=method)
 
 
-def sample(space, seed: int) -> np.ndarray:
+def sample(space: SampleSpace, seed: int) -> np.ndarray:
     """Deterministic sample by seed index.
 
     For a uniform space, seed is a row index.  For a rationally weighted
@@ -221,8 +221,6 @@ def sample(space, seed: int) -> np.ndarray:
     the points in exact proportion to their weights, so a sweep over all
     seeds reproduces the distribution exactly.
     """
-    if isinstance(space, GaussianSpace):
-        return space.sample(seed)
     weights, denom = _integer_weights(space)
     if not 0 <= seed < denom:
         raise ValueError(f"seed {seed} out of range [0, {denom})")

@@ -208,18 +208,16 @@ class DecisionTree:
 # builder
 
 
-def build_tree(p: DegTwoPoly, tau: float, max_depth: Optional[int] = None,
-               leaf_budget: int = 2 ** 18) -> DecisionTree:
+def build_tree(p: DegTwoPoly, tau: float, max_depth: Optional[int] = None) -> DecisionTree:
     """Grow the restriction tree for p deterministically.
 
     Bad nodes split on their most influential variable (lowest index on
-    ties) until the depth or leaf budget runs out.  Leaves cut short by a
-    budget are marked ``truncated`` and stay bad, the conservative side.
+    ties) until the depth budget runs out.  Where config.TREE_DEPTH_CAP
+    cuts the requested depth short, the bad leaves at the cap are marked
+    ``truncated``; they stay bad, the conservative side.
     """
     if not 0.0 < tau < 0.5:
         raise ConfigurationError("tau must lie in (0, 1/2)")
-    if leaf_budget < 1:
-        raise ConfigurationError("leaf budget must be positive")
     requested = default_max_depth(tau) if max_depth is None else int(max_depth)
     if requested < 0:
         raise ConfigurationError("max_depth must be nonnegative")
@@ -228,19 +226,13 @@ def build_tree(p: DegTwoPoly, tau: float, max_depth: Optional[int] = None,
     cube = (signs(p, all_points(p.n)) >= 0).reshape((2,) * p.n).T
     form = _ExactForm(p)
 
-    finalized = 0
-
     def grow(sub: np.ndarray, path: Path, state: tuple) -> Union[Node, Leaf]:
         # sub is the cube's view on the subcube, where p_rho = p
-        nonlocal finalized
         depth = len(path)
         inf = [l * l + r for l, r in zip(state[1], state[2])]
         kind, sign, off = _verdict(inf, int(np.count_nonzero(sub)), sub.size, tau)
-        out_of_depth = depth >= effective
-        out_of_leaves = finalized + 2 > leaf_budget
-        if kind != BAD or out_of_depth or out_of_leaves:
-            trunc = kind == BAD and (out_of_leaves or out_of_depth and requested > effective)
-            finalized += 1
+        if kind != BAD or depth >= effective:
+            trunc = kind == BAD and requested > effective
             coefs, quad, rounded = form.rounded(state, path)
             return Leaf(poly=DegTwoPoly._trusted(p.n, coefs[0], np.array(coefs[1:]), quad),
                         classification=_classification(kind, sign, off, sub.size),

@@ -14,6 +14,7 @@ A d=2 norm costs seconds here.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -46,7 +47,7 @@ def kernel_partial(d: int, beta, points: np.ndarray) -> np.ndarray:
     """Partial derivative of B = g^2 by the product rule over transforms."""
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     out = np.zeros(pts.shape[0])
-    for alpha in mollify._multi_indices_leq(beta):
+    for alpha in itertools.product(*(range(b + 1) for b in beta)):
         comb = 1.0
         for bi, ai in zip(beta, alpha):
             comb *= math.comb(bi, ai)

@@ -130,7 +130,7 @@ def test_box_decomposes_into_cdf_differences():
 def test_sharpness_increases_with_c():
     # at distance 1 from the boundary, larger c means closer to the
     # true indicator value 1
-    vals = [mollify.mollify_eval(mollify.HalfLine(0.0), c, [1.0])
+    vals = [mollify.Mollifier(1, c).mollify(mollify.HalfLine(0.0), [1.0])
             for c in (1.0, 4.0, 16.0)]
     assert vals[0] < vals[1] < vals[2]
     assert vals[2] > 0.9
@@ -141,3 +141,31 @@ def test_mollifier_rejects_bad_scale():
         mollify.Mollifier(1, 0.0)
     with pytest.raises(ConfigurationError):
         mollify.Mollifier(3, 1.0)
+
+
+def test_halfline_and_quadrant_are_boxes_with_infinite_ends():
+    assert mollify.HalfLine(0.5) == mollify.Box((0.5,), (math.inf,))
+    assert mollify.Quadrant((0.0, -1.0)) == mollify.Box((0.0, -1.0), (math.inf, math.inf))
+
+
+def test_box_2d_is_inclusion_exclusion_of_quadrants():
+    m = mollify.Mollifier(2, 2.0)
+    (a1, a2), (b1, b2) = (-0.5, 0.0), (1.0, 0.75)
+    x = [0.2, 0.4]
+    q = [m.mollify(mollify.Quadrant(corner), x)
+         for corner in ((a1, a2), (b1, a2), (a1, b2), (b1, b2))]
+    assert m.mollify(mollify.Box((a1, a2), (b1, b2)), x) == q[0] - q[1] - q[2] + q[3]
+
+
+@pytest.mark.parametrize("d, make_region, x", [
+    (1, lambda: mollify.HalfLine(0.0), [0.0, 5.0]),
+    (2, lambda: mollify.Quadrant((0.0, 0.0)), [0.0]),
+    (1, lambda: mollify.HalfLine(0.0), [math.nan]),
+    (2, lambda: mollify.Quadrant((0.0, 0.0)), [0.0, math.inf]),
+    (1, lambda: mollify.HalfLine(math.nan), [0.0]),
+    (2, lambda: mollify.Box((0.0, math.nan), (1.0, 1.0)), [0.0, 0.0]),
+], ids=["point-too-long", "point-too-short", "nan-coordinate", "infinite-coordinate",
+        "nan-halfline", "nan-box-end"])
+def test_mollify_refuses_bad_input(d, make_region, x):
+    with pytest.raises(ConfigurationError):
+        mollify.Mollifier(d, 1.0).mollify(make_region(), x)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import tree_reference
 from conftest import fraction_values, random_poly
-from ptffool import spaces, tree
+from ptffool import config, spaces, tree
 from ptffool.cube import all_points
 from ptffool.errors import ConfigurationError, FormatError
 from ptffool.poly import DegTwoPoly, dumps_poly
@@ -105,27 +105,17 @@ def test_reach_probability_matches_mass(rng):
         assert Fraction(counts[tuple(leaf.path)], len(pts)) == leaf.mass
 
 
-def test_depth_cap_marks_truncation():
+def test_depth_cap_marks_truncation(monkeypatch):
+    # a cap below the requested depth is the only way a leaf is truncated
+    monkeypatch.setattr(config, "TREE_DEPTH_CAP", 1)
     rng = np.random.default_rng(5)
     p = random_poly(6, rng)
-    t = tree.build_tree(p, tau=0.02, max_depth=1)
-    kinds = [leaf.truncated for leaf in t.leaves()]
-    if any(kinds):
-        assert t.truncated
-        rep = tree.tree_report(t)
-        assert rep.deviation.truncated_mass > 0
-
-
-def test_leaf_budget_truncates():
-    # the budget caps classifier-finalized leaves; open branches still
-    # close out as explicitly truncated ones so masses stay complete
-    rng = np.random.default_rng(6)
-    p = random_poly(6, rng)
-    t = tree.build_tree(p, tau=0.02, leaf_budget=3)
+    t = tree.build_tree(p, tau=0.02, max_depth=2)
     assert t.truncated
-    finalized = [lf for lf in t.leaves() if not lf.truncated]
-    assert len(finalized) <= 3
     assert sum((lf.mass for lf in t.leaves()), Fraction(0)) == Fraction(1)
+    rep = tree.tree_report(t)
+    assert not rep.exact
+    assert rep.deviation.truncated_mass > 0
 
 
 def test_report_masses_and_deviation_bound(rng):
