@@ -300,6 +300,7 @@ def _cmd_fool_lp(args) -> int:
         "witness_repair_failed": rep.witness_repair_failed,
         "certificate_upper": _certificate_payload(rep.certificate_upper),
         "certificate_lower": _certificate_payload(rep.certificate_lower),
+        "lp": rep.lp,
     }
     ok = (rep.certificate_upper.verified and rep.certificate_lower.verified
           and rep.check_order_invariant())

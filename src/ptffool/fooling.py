@@ -5,26 +5,25 @@ Three levels of machinery live here.  The exact level enumerates
 expectations as rationals, for the uniform cube and for explicit sample
 spaces.  The adversarial level phrases "worst k-wise independent
 distribution" as a linear program over point masses w >= 0 on the 2^n
-cube points, with one equality row per parity of order up to k, and
+cube points, with one equality row per set of at most k coordinates, and
 extracts three artifacts from one solve: the optimum, an optimal
 distribution repaired to exact rational feasibility, and a degree-k
 sandwiching polynomial certificate recovered from the dual and
 re-verified in integer arithmetic.
 
-The LP comes in two forms with the same optimum and the same artifacts.
-The point-mass form states the parity rows as a dense ±1 matrix, solved
-by the dual simplex.  The transform form reaches the same rows through the
-n butterfly stages of the Walsh-Hadamard transform: free stage vectors
-z_1..z_{n-1} and one sparse row per butterfly, at most 3 n 2^n nonzeros
-against (rows) x 2^n, solved by interior point with crossover.  One fixed
-rule picks the form: the transform form for k >= 4, where the dense rows
-are many, and the point-mass form below.  In both, the parity rows' duals
-are the certificate, and q is evaluated on the cube by one integer
-transform.  The repair solves the support's parity system by one float LU,
-integer iterative refinement and rational reconstruction; floats only
-search, and an integer check of every row is the proof.  The sgn LP and
-the intersection LP share one driver.  The probe level is Monte Carlo,
-for quantities with no exact counterpart.
+The LP states k-wise independence by marginal rows: Pr[x_i = -1 for all
+i in S] = 2^-|S| for every |S| <= k.  By inclusion-exclusion these rows
+span the same space as the parity rows, but row S has only 2^(n-|S|)
+nonzeros (54,528 in all at (n, k) = (10, 5), against 653,312 for dense ±1
+parity rows), so HiGHS solves it faster: by the dual simplex up to 600
+rows, by interior point with crossover above.  The rows' duals map to the
+parity basis by one Walsh-Hadamard transform and are the certificate, and
+q is evaluated on the cube by one integer transform.  The repair solves
+the support's parity system by one float LU, integer iterative
+refinement and rational reconstruction; floats only search, and an
+integer check of every row is the proof.  The sgn LP and the
+intersection LP share one driver.  The probe level is Monte Carlo, for
+quantities with no exact counterpart.
 
 Every sign of p is exact (``poly.signs``), with sgn(0) = +1 everywhere
 applied as ``signs(...) >= 0``.  Reports carry the sign-scale deviation;
@@ -153,6 +152,7 @@ class DeviationReport:
     witness_repair_failed: bool = False
     witness_repair_reason: Optional[str] = None
     objective: str = "sgn"               # "sgn" | "indicator"
+    lp: Optional[dict] = None            # size, method; per side status, iterations, support
 
     def check_order_invariant(self) -> bool:
         """lp_min <= uniform <= lp_max, within LP tolerance."""
@@ -188,47 +188,41 @@ def _parity_rows(masks: np.ndarray, columns: np.ndarray) -> np.ndarray:
     return out
 
 
-def _butterfly_rows(n: int, masks: np.ndarray) -> sparse.csc_matrix:
-    """The transform form's equality rows, over the variables [w, z_1, ...,
-    z_{n-1}] with z_0 = w.
+def _marginal_rows(n: int, masks: np.ndarray) -> sparse.csc_matrix:
+    """AND_S(x), 0/1, for every subset mask S of ``masks`` (rows) and every
+    cube row index x (columns): 1 where x has every bit of S set, that is
+    x_i = -1 for all i in S.  Row S has 2^(n - |S|) ones.  Built a block of
+    columns at a time, so each block's nonzeros come out in CSC order.
 
-    Stage i (b = 2^(i-1)) is one butterfly of ``cube.fwht_inplace``, in its
-    row order: z_{i-1}[a & ~b] ± z_{i-1}[a | b] - z_i[a] = 0, with + where
-    bit b of a is clear.  The last stage's z_n is fixed, so it moves to the
-    right-hand side: one row per mask S of ``masks``, in their order, with
-    z_n[S] = 1 for S = ∅ and 0 for 1 <= |S| <= k.  The entries with
-    |S| > k are free and have no row.  Row S then holds
-    sum_x chi_S(x) w[x], the point-mass row.
+    By inclusion-exclusion AND_S = 2^-|S| sum_{T <= S} (-1)^|T| chi_T, so
+    the rows AND_S w = 2^-|S| (|S| <= k) state exactly what the parity rows
+    chi_T w = [T = 0] do: every marginal of at most k coordinates uniform.
     """
     from scipy import sparse
 
     size = 1 << n
-    rows, cols, vals = [], [], []
-    for i in range(1, n + 1):
-        b = 1 << (i - 1)
-        out = np.arange(size) if i < n else masks.astype(np.int64)
-        row = (i - 1) * size + np.arange(out.size)
-        prev = (i - 1) * size                          # z_{i-1}'s first column
-        rows += [row, row]
-        cols += [prev + (out & ~b), prev + (out | b)]
-        vals += [np.ones(out.size), np.where(out & b, -1.0, 1.0)]
-        if i < n:
-            rows.append(row)
-            cols.append(i * size + out)
-            vals.append(-np.ones(out.size))
-    return sparse.csc_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=((n - 1) * size + masks.size, n * size))
+    step = max(1, BLOCK_ELEMENTS // max(masks.size, 1))
+    indices, counts = [], [np.zeros(1, dtype=np.int64)]
+    for lo in range(0, size, step):
+        x = np.arange(lo, min(lo + step, size), dtype=np.uint64)
+        hit = (x[:, None] & masks) == masks
+        indices.append(np.nonzero(hit)[1])
+        counts.append(np.count_nonzero(hit, axis=1))
+    rows = np.concatenate(indices)
+    return sparse.csc_matrix((np.ones(rows.size), rows, np.cumsum(np.concatenate(counts))),
+                             shape=(masks.size, size))
 
 
-def _transform_form(n: int, k: int) -> bool:
-    """The form rule: the transform form from k = 4 on, the point-mass form
-    below.  HiGHS time for both sides on a 2-core machine, transform form
-    (interior point) against point-mass form (dual simplex): 0.37 s
-    against 0.87 s at (n, k) = (9, 4), 1.7 s against 14.5 s at (10, 5);
-    but 0.34 s against 0.13 s at (10, 2) and 0.28 s against 0.22 s at
-    (9, 3)."""
-    return k >= 4
+def _lp_method(rows: int) -> str:
+    """The solver rule: HiGHS's dual simplex up to 600 rows, interior point
+    with crossover (which still ends at the vertex the witness repair
+    needs) above.  Both sides' HiGHS time for a random p on a 2-core
+    machine, dual simplex against interior point: at n = 10, 0.05/0.09 s
+    at k = 2 (56 rows), 0.18/0.32 s at k = 3 (176), 0.61/0.82 s at k = 4
+    (386), 0.85/0.78 s at k = 5 (638), 1.02/0.71 s at k = 6 (848); at
+    n = 11, 2.6/2.9 s at k = 4 (562) and 6.8/5.2 s at k = 5 (1,024); at
+    n = 12, 18.9/12.4 s at k = 4 (794)."""
+    return "highs-ds" if rows <= 600 else "highs-ipm"
 
 
 @dataclass
@@ -236,7 +230,7 @@ class _LpSide:
     sense: str                           # "max" | "min"
     optimum: float
     weights: np.ndarray
-    dual: np.ndarray                     # marginals of the parity rows
+    dual: np.ndarray                     # χ-basis coefficients mapped from the marginal rows
     subsets: list[tuple[int, ...]]
     masks: np.ndarray                    # uint64: 0 (normalization), then subsets'
     objective_values: np.ndarray         # s(x) over the cube
@@ -249,43 +243,40 @@ def _solve_lp(values: np.ndarray, n: int, k: int,
               objective: str) -> tuple[DeviationReport, list[_LpSide]]:
     """The LP driver shared by every objective (integer ``values`` over the
     cube): solve the max side, then the min side, and return both with a
-    report of the optima, the deviation on both scales and the certificates.
+    report of the optima, the deviation on both scales, the certificates
+    and the LP's size.
 
-    Both forms have one equality row per parity of order <= k plus the
-    normalization, the last ``masks.size`` rows; the transform form puts
-    the butterfly stages before them."""
+    The variables are the 2^n point masses and the rows are
+    :func:`_marginal_rows`, one per subset of order <= k, the empty set's
+    being the normalization.  Their duals u give the Lagrangian function
+    A^T u on the cube, whose Walsh-Hadamard coefficients on ``masks`` are
+    the parity rows' duals that :func:`sandwich_from_dual` expects."""
     uni = Fraction(int(np.sum(values, dtype=np.int64)), values.size)
     report = DeviationReport(n=n, k=k, mode="lp", uniform_expectation=uni,
                              objective=objective)
     s = values.astype(np.float64)
     subsets = cube.subsets_up_to(n, k)
     masks = np.array([0] + [cube.subset_mask(t) for t in subsets], dtype=np.uint64)
-    size = 1 << n
-    if _transform_form(n, k):
-        # Interior point with crossover: faster here than the dual simplex,
-        # and it still ends at a vertex, which the witness repair expects.
-        A, method = _butterfly_rows(n, masks), "highs-ipm"
-        cost = np.zeros(A.shape[1])
-        cost[:size] = s
-        bounds = [(0.0, None)] * size + [(None, None)] * (A.shape[1] - size)
-    else:
-        A = _parity_rows(masks, np.arange(size, dtype=np.uint64)).astype(np.float64)
-        cost, bounds, method = s, (0.0, None), "highs-ds"
-    b = np.zeros(A.shape[0])
-    b[-masks.size] = 1.0
-    sides = []
+    A = _marginal_rows(n, masks)
+    method = _lp_method(A.shape[0])
+    b = 0.5 ** popcount_u64(masks).astype(np.float64)
+    sides, stats = [], {}
     for side_sense, sign in (("max", -1.0), ("min", 1.0)):
-        res = linprog(sign * cost, A_eq=A, b_eq=b, bounds=bounds, method=method)
+        res = linprog(sign * s, A_eq=A, b_eq=b, bounds=(0.0, None), method=method)
         if res.status == 1:
             raise InconclusiveError("LP hit its iteration cap")
         if res.status != 0:
             # The uniform distribution is always feasible, so anything but
             # success means the solve itself broke.
             raise ConvergenceError(f"LP solver failure: {res.message}")
-        sides.append(_LpSide(sense=side_sense, optimum=sign * res.fun, weights=res.x[:size],
-                             dual=np.asarray(res.eqlin.marginals)[-masks.size:],
-                             subsets=subsets, masks=masks, objective_values=s,
+        dual = cube.fwht_inplace(A.T @ res.eqlin.marginals)[masks] / (1 << n)
+        sides.append(_LpSide(sense=side_sense, optimum=sign * res.fun, weights=res.x,
+                             dual=dual, subsets=subsets, masks=masks, objective_values=s,
                              uniform_expectation=uni, n=n, k=k))
+        support = int(np.count_nonzero(res.x > config.WITNESS_SUPPORT_TOL))
+        stats[side_sense] = {"status": res.status, "iterations": res.nit, "support": support}
+    report.lp = {"rows": A.shape[0], "cols": A.shape[1], "nonzeros": A.nnz,
+                 "method": method, **stats}
     hi, lo = sides
     report.lp_max, report.lp_min = hi.optimum, lo.optimum
     report.certificate_upper, report.certificate_lower = map(sandwich_from_dual, sides)
@@ -479,9 +470,9 @@ def worst_case_lp(p: DegTwoPoly, k: int,
                   emit_witness: bool = True) -> DeviationReport:
     """Extremes of E[sgn(p)] over every k-wise independent distribution.
 
-    Max and min of the LP over point masses on the 2^n cube points, in
-    either form: nonnegative, summing to 1, every parity of order 1..k
-    unbiased; each with its dual sandwiching certificate.  Each optimum is
+    Max and min of the LP over point masses on the 2^n cube points:
+    nonnegative, summing to 1, every marginal of at most k coordinates
+    uniform; each with its dual sandwiching certificate.  Each optimum is
     attained by a k-wise independent distribution, which ``emit_witness``
     repairs to exact rational feasibility and attaches.
     """
@@ -529,8 +520,8 @@ def intersection_deviation(ps: Sequence[DegTwoPoly], k: int) -> DeviationReport:
     indicator scale directly.
     """
     ps = list(ps)
-    if not 1 <= len(ps) <= 3:
-        raise ConfigurationError("intersections support 1 to 3 polynomials")
+    if not ps:
+        raise ConfigurationError("an intersection needs at least one polynomial")
     n = ps[0].n
     if any(q.n != n for q in ps):
         raise ConfigurationError("all polynomials must share a dimension")

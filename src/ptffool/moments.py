@@ -7,10 +7,8 @@ one Walsh-Hadamard transform and sums powers in Python ints.
 
 The validators mirror the inequalities the library depends on: the
 k-th-moment eigenvalue bound for trace-centered quadratic forms (with
-its explicit constant 128), Khintchine for linear forms, the
-hypercontractive tail bound at its prescribed moment order, and a
-fitted-constant report for the quadratic-form moment bound whose stated
-constant is only asymptotic.
+its explicit constant 128), Khintchine for linear forms, and the
+hypercontractive tail bound at its prescribed moment order.
 """
 
 from __future__ import annotations

@@ -111,6 +111,12 @@ def test_fool_lp_with_emissions(tmp_path, product_poly_file):
     assert back.n == 2
     certs = _read_report(cert)
     assert certs["upper"]["verified"] and certs["lower"]["verified"]
+    # rows for {}, {1}, {2}: 4 + 2 + 2 nonzeros over the 4 points
+    lp = rep["lp"]
+    assert (lp["rows"], lp["cols"], lp["nonzeros"], lp["method"]) == (3, 4, 8, "highs-ds")
+    assert lp["max"]["support"] == back.num_points
+    for side in ("max", "min"):
+        assert lp[side]["status"] == 0 and lp[side]["iterations"] >= 0
 
 
 def test_fool_lp_k0_witness_is_vacuously_verified(tmp_path, product_poly_file):
@@ -375,8 +381,8 @@ N10_POLY = DegTwoPoly.from_terms(10, constant=0.25, linear={i: 1.0 for i in rang
 
 
 def test_fool_lp_repairs_witness_at_n10_k5(tmp_path):
-    """The transform form at n = 10: a support of 540 points on the max side
-    and 454 on the min side (the point-mass form's min-side vertex has 422)."""
+    """Interior point with crossover at n = 10: a support of 541 points on
+    the max side and 442 on the min side, of 638 rows."""
     back = _fool_lp_witness_at(tmp_path, 10, 5, N10_POLY)
     assert back.num_points > 512
 

@@ -1,10 +1,12 @@
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_poly
+from conftest import fraction_values, random_poly
 from ptffool import fooling, spaces
 from ptffool.errors import ConfigurationError, ResourceBudgetError
 from ptffool.poly import DegTwoPoly
@@ -106,10 +108,26 @@ def test_intersection_deviation_two_halfspaces(rng):
     assert rep.deviation <= 1.0 + 1e-12
 
 
-def test_intersection_rejects_too_many():
-    ps = [product_poly()] * 4
+def test_intersection_of_four_polynomials(rng):
+    """Four polynomials at n = 6: the uniform expectation is the brute-force
+    share of points where all four are >= 0, and both certificates hold at
+    every point in exact rationals."""
+    ps = [random_poly(6, rng, with_constant=True) for _ in range(4)]
+    rep = fooling.intersection_deviation(ps, 2)
+    points = list(itertools.product((1, -1), repeat=6))
+    member = {x: int(all(v >= 0 for v in vs))
+              for x, *vs in zip(points, *(fraction_values(q, points) for q in ps))}
+    assert rep.uniform_expectation == Fraction(sum(member.values()), len(points))
+    for cert in (rep.certificate_upper, rep.certificate_lower):
+        assert cert.verified
+        for x in points:
+            q = sum(c * math.prod(x[i] for i in s) for s, c in cert.coefficients.items())
+            assert q >= member[x] if cert.direction == "upper" else q <= member[x]
+
+
+def test_intersection_rejects_an_empty_list():
     with pytest.raises(ConfigurationError):
-        fooling.intersection_deviation(ps, 2)
+        fooling.intersection_deviation([], 2)
 
 
 def test_anticoncentration_probe_exact_mode():

@@ -1,10 +1,11 @@
-"""The fooling LP's two forms against each other.
+"""The fooling LP's marginal rows against the dense parity-row LP.
 
-The point-mass form has one dense ±1 row per parity of order <= k; the
-transform form reaches the same rows through the butterfly stages of the
-Walsh-Hadamard transform.  Each form is forced in turn by replacing the
-private form rule, and both must give the same optima, certificates that
-hold at every cube point in integers, and witnesses that repair exactly.
+The solver states k-wise independence by one sparse row per set S of at
+most k coordinates, Pr[x_i = -1 for all i in S] = 2^-|S|.  The oracle
+here is the dense point-mass LP: one ±1 row per parity of order <= k,
+built from ``fooling._parity_rows`` and solved by HiGHS's dual simplex.
+Both must give the same optima, and the solver's certificates must hold
+at every cube point in integers and its witnesses repair exactly.
 """
 
 from fractions import Fraction
@@ -18,6 +19,29 @@ from ptffool import config, cube, fooling, spaces
 from ptffool.poly import signs
 
 OPTIMUM_TOL = 1e-9
+
+
+def _masks(n: int, k: int) -> np.ndarray:
+    return np.array([0] + [cube.subset_mask(s) for s in cube.subsets_up_to(n, k)],
+                    dtype=np.uint64)
+
+
+def _dense_optima(values: np.ndarray, n: int, k: int) -> tuple[float, float]:
+    """(max, min) of E_w[values] over w >= 0 with every parity row of order
+    <= k at its uniform value, by the dense LP."""
+    from scipy.optimize import linprog
+
+    A = fooling._parity_rows(_masks(n, k), np.arange(1 << n, dtype=np.uint64))
+    b = np.zeros(A.shape[0])
+    b[0] = 1.0
+    s = values.astype(np.float64)
+    out = []
+    for sign in (-1.0, 1.0):
+        res = linprog(sign * s, A_eq=A.astype(np.float64), b_eq=b, bounds=(0.0, None),
+                      method="highs-ds")
+        assert res.status == 0, res.message
+        out.append(sign * res.fun)
+    return out[0], out[1]
 
 
 def _spy_sides(monkeypatch) -> list:
@@ -49,7 +73,10 @@ def _certificate_holds(cert, target: np.ndarray, n: int) -> bool:
     return bool(np.all(q >= s) if cert.direction == "upper" else np.all(q <= s))
 
 
-def _check_certificates(rep, target: np.ndarray, n: int) -> None:
+def _check_against_oracle(rep, target: np.ndarray, n: int, k: int) -> None:
+    lp_max, lp_min = _dense_optima(target, n, k)
+    assert abs(rep.lp_max - lp_max) <= OPTIMUM_TOL
+    assert abs(rep.lp_min - lp_min) <= OPTIMUM_TOL
     for cert in (rep.certificate_upper, rep.certificate_lower):
         assert cert.verified
         assert _certificate_holds(cert, target, n)
@@ -62,35 +89,19 @@ def _check_witnesses(sides, k: int) -> None:
         assert spaces.verify_kwise_exact(witness, k).passed
 
 
-def _both_forms(monkeypatch, run):
-    """run() once per form: (point-mass result, transform result)."""
-    out = []
-    for transform in (False, True):
-        with monkeypatch.context() as m:
-            m.setattr(fooling, "_transform_form", lambda n, k, t=transform: t)
-            out.append(run(m))
-    return out
-
-
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(2, 8), data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
 def test_worst_case_lp_forms_agree(n, data, seed):
     k = data.draw(st.integers(1, n), label="k")
     p = random_poly(n, np.random.default_rng(seed))
-    target = fooling.sgn_values(p)
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        point_mass, transform = _both_forms(
-            monkeypatch, lambda m: fooling.worst_case_lp(p, k))
-    for rep in (point_mass, transform):
-        _check_certificates(rep, target, n)
-        assert not rep.witness_repair_failed, rep.witness_repair_reason
-        assert rep.witness_max_check.passed and rep.witness_min_check.passed
-    assert abs(point_mass.lp_max - transform.lp_max) <= OPTIMUM_TOL
-    assert abs(point_mass.lp_min - transform.lp_min) <= OPTIMUM_TOL
+    rep = fooling.worst_case_lp(p, k)
+    _check_against_oracle(rep, fooling.sgn_values(p), n, k)
+    assert not rep.witness_repair_failed, rep.witness_repair_reason
+    assert rep.witness_max_check.passed and rep.witness_min_check.passed
 
 
 @settings(max_examples=25, deadline=None)
-@given(n=st.integers(2, 8), data=st.data(), count=st.integers(1, 3),
+@given(n=st.integers(2, 8), data=st.data(), count=st.integers(1, 4),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_intersection_lp_forms_agree(n, data, count, seed):
     k = data.draw(st.integers(1, n), label="k")
@@ -100,43 +111,27 @@ def test_intersection_lp_forms_agree(n, data, count, seed):
     member = np.ones(1 << n, dtype=np.int64)
     for q in ps:
         member &= (signs(q, points) >= 0).astype(np.int64)
-
-    def run(m):
-        sides = _spy_sides(m)
-        return fooling.intersection_deviation(ps, k), sides
-
     with pytest.MonkeyPatch.context() as monkeypatch:
-        (point_mass, pm_sides), (transform, tf_sides) = _both_forms(monkeypatch, run)
-    for rep, sides in ((point_mass, pm_sides), (transform, tf_sides)):
-        _check_certificates(rep, member, n)
-        _check_witnesses(sides, k)
-    assert abs(point_mass.lp_max - transform.lp_max) <= OPTIMUM_TOL
-    assert abs(point_mass.lp_min - transform.lp_min) <= OPTIMUM_TOL
+        sides = _spy_sides(monkeypatch)
+        rep = fooling.intersection_deviation(ps, k)
+    _check_against_oracle(rep, member, n, k)
+    _check_witnesses(sides, k)
 
 
-@pytest.mark.parametrize("n, k", [(1, 1), (3, 2), (5, 5), (6, 3)])
-def test_butterfly_rows_are_the_parity_rows(n, k):
-    """Every stage solved forward from w leaves the last rows equal to the
-    point-mass rows times w, and every stage row at zero."""
-    masks = np.array([0] + [cube.subset_mask(s) for s in cube.subsets_up_to(n, k)],
-                     dtype=np.uint64)
-    w = np.random.default_rng(n * 10 + k).integers(-9, 10, size=1 << n)
-    z, stages = w, [w]
-    for i in range(1, n):                 # z_i: butterflies of half-width 2^(i-1)
-        pairs = z.reshape(-1, 2, 1 << (i - 1))
-        z = np.stack([pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]],
-                     axis=1).reshape(-1)
-        stages.append(z)
-    x = np.concatenate(stages)
-    got = fooling._butterfly_rows(n, masks) @ x
-    want = fooling._parity_rows(masks, np.arange(1 << n, dtype=np.uint64)).astype(np.int64) @ w
-    assert not got[:-masks.size].any()
-    assert np.array_equal(got[-masks.size:], want)
-
-
-def test_form_rule():
-    assert not fooling._transform_form(10, 3)
-    assert fooling._transform_form(10, 4)
+@pytest.mark.parametrize("n", range(1, 7))
+def test_marginal_rows_are_parity_rows_by_inclusion_exclusion(n):
+    """2^|S| AND_S = sum over T <= S of (-1)^|T| chi_T, in integers, for
+    every subset S of every order."""
+    masks = _masks(n, n)
+    marginal = fooling._marginal_rows(n, masks).toarray()
+    assert set(np.unique(marginal)) <= {0.0, 1.0}
+    marginal = marginal.astype(np.int64)
+    parity = fooling._parity_rows(masks, np.arange(1 << n, dtype=np.uint64)).astype(np.int64)
+    row_of = {int(m): i for i, m in enumerate(masks)}
+    for S, i in row_of.items():
+        want = sum((-1) ** bin(T).count("1") * parity[row_of[T]]
+                   for T in row_of if T & S == T)
+        assert np.array_equal(marginal[i] << bin(S).count("1"), want)
 
 
 def test_certificate_evaluation_past_int64():
