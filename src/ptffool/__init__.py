@@ -13,20 +13,19 @@ rounding statistics), always next to a stated tolerance.
 
 __version__ = "0.1.0"
 
-from .config import RunConfig
 from .errors import (ConfigurationError, ContractViolationError,
                      ConvergenceError, DegenerateInputError, FormatError,
                      InconclusiveError, InvalidOrderError, PtfFoolError,
                      ResourceBudgetError)
 from .fooling import (anticoncentration_probe, deviation,
-                      exact_sgn_expectation, indicator_expectation,
-                      intersection_deviation, lp_sweep, worst_case_lp)
+                      exact_sgn_expectation, intersection_deviation,
+                      lp_sweep, worst_case_lp)
 from .gw import (Graph, cycle_graph, expected_cut_exact,
                  generate_test_embedding, k_for_eps, round_with_space,
                  single_edge)
 from .moments import (eigenbound_ratio, exact_moment_hypercube,
                       hypercontractive_tail_check, khintchine_check,
-                      mc_moment_hypercube, moment_series)
+                      mc_moment_hypercube)
 from .mollify import (Mollifier, check_unit_integral, deriv_l1_norm,
                       squared_bump_moment, tail_mass)
 from .poly import (DegTwoPoly, critical_index, dump_poly, influences,
@@ -38,7 +37,6 @@ from .tree import (DecisionTree, build_tree, dump_tree, load_tree,
                    tree_report)
 
 __all__ = [
-    "RunConfig",
     "PtfFoolError", "InvalidOrderError", "ResourceBudgetError",
     "ConfigurationError", "ContractViolationError", "DegenerateInputError",
     "ConvergenceError", "FormatError", "InconclusiveError",
@@ -48,10 +46,10 @@ __all__ = [
     "DegTwoPoly", "influences", "regularity", "critical_index",
     "spectral_decompose", "load_poly", "dump_poly",
     "exact_moment_hypercube", "mc_moment_hypercube", "eigenbound_ratio",
-    "khintchine_check", "moment_series", "hypercontractive_tail_check",
+    "khintchine_check", "hypercontractive_tail_check",
     "Mollifier", "check_unit_integral", "deriv_l1_norm", "tail_mass",
     "squared_bump_moment",
-    "exact_sgn_expectation", "indicator_expectation", "deviation",
+    "exact_sgn_expectation", "deviation",
     "worst_case_lp", "lp_sweep", "intersection_deviation",
     "anticoncentration_probe",
     "DecisionTree", "build_tree", "tree_report", "dump_tree", "load_tree",

@@ -36,7 +36,6 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, config, fooling, gw, moments, mollify, spaces, tree
-from .config import RunConfig
 from .errors import (ConfigurationError, FormatError, InconclusiveError,
                      InvalidOrderError, PtfFoolError, ResourceBudgetError)
 from .poly import (DegTwoPoly, critical_index, influences, load_poly,
@@ -83,21 +82,27 @@ def _write(text: str, path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _emit(payload: dict, path: Optional[str], master_seed: int,
-          command: str) -> None:
+#: Parsed arguments left out of a report's config: the handler and the
+#: output paths, which change where results go but not what they are.
+_OUTPUT_ARGS = ("func", "report", "out", "csv", "emit_witness", "emit_cert")
+
+
+def _emit(payload: dict, path: Optional[str], args: argparse.Namespace) -> None:
     """Attach the reproducibility envelope and write JSON.
 
-    Reports go to the declared path when one was given, stdout
-    otherwise; nothing else is ever written.
+    The report's ``config`` is the command and every parsed argument but
+    the output paths, and ``config_hash`` is its sha256, so two runs share
+    a hash exactly when they computed from the same parameters.  Reports go
+    to the declared path when one was given, stdout otherwise; nothing else
+    is ever written.
     """
-    cfg = RunConfig(master_seed=master_seed, extras={"command": command})
-    cfg_plain = _plain(cfg.to_dict())
+    cfg = {k: v for k, v in vars(args).items() if k not in _OUTPUT_ARGS}
     body = dict(payload)
-    body["config"] = cfg_plain
+    body["config"] = cfg
     body["config_hash"] = hashlib.sha256(
-        json.dumps(cfg_plain, sort_keys=True).encode()).hexdigest()
+        json.dumps(cfg, sort_keys=True).encode()).hexdigest()
     body["version"] = _version()
-    body["master_seed"] = master_seed
+    body["master_seed"] = args.seed
     body["timestamp"] = datetime.now(timezone.utc).isoformat()
     _write(json.dumps(_plain(body), indent=1, sort_keys=True) + "\n", path)
 
@@ -154,7 +159,7 @@ def _cmd_poly_info(args) -> int:
     else:
         payload.update(tau=args.tau, max_ratio=None, is_regular=None,
                        critical_index=None, no_finite_index=None)
-    _emit(payload, args.report, args.seed, "poly info")
+    _emit(payload, args.report, args)
     return 0
 
 
@@ -169,7 +174,7 @@ def _cmd_poly_decompose(args) -> int:
         "band_matrices": {"a1": dec.a1, "a2": dec.a2, "a3": dec.a3},
         "invariants": inv,
     }
-    _emit(payload, args.out, args.seed, "poly decompose")
+    _emit(payload, args.out, args)
     return 0 if all(bool(v) for v in inv.values()) else 1
 
 
@@ -192,7 +197,7 @@ def _cmd_moments(args) -> int:
                "mode": rep.exact_or_mc, "center": args.center}
     if rep.value_exact is not None:
         payload["value_exact"] = rep.value_exact
-    _emit(payload, args.report, args.seed, "moments")
+    _emit(payload, args.report, args)
     return 0 if rep.passed else 1
 
 
@@ -262,7 +267,7 @@ def _cmd_ftmol(args) -> int:
     payload = {"d": d, "c": c, "suite": args.suite,
                "checks": [{"name": n, "status": s} for n, s in statuses],
                "reports": reports}
-    _emit(payload, args.report, args.seed, f"ftmol check {args.suite}")
+    _emit(payload, args.report, args)
     return _statuses_to_exit(statuses)
 
 
@@ -275,7 +280,7 @@ def _cmd_fool_exact(args) -> int:
                "space_expectation": rep.space_expectation,
                "deviation": rep.deviation,
                "indicator_deviation": rep.indicator_deviation}
-    _emit(payload, args.report, args.seed, "fool exact")
+    _emit(payload, args.report, args)
     return 0
 
 
@@ -316,7 +321,7 @@ def _cmd_fool_lp(args) -> int:
                      "lower": payload["certificate_lower"]}
         _write(json.dumps(_plain(cert_body), indent=1, sort_keys=True) + "\n", args.emit_cert)
         payload["certificate_file"] = args.emit_cert
-    _emit(payload, args.report, args.seed, "fool lp")
+    _emit(payload, args.report, args)
     if not ok:
         return 1
     return 2 if rep.witness_repair_failed else 0

@@ -4,14 +4,8 @@ Numeric literals that govern pass/fail decisions live here and nowhere
 else.  Each constant documents what it protects.  The few constants that
 come from proofs rather than engineering judgment say so; the rest are
 defensible defaults, some of which functions take as default arguments.
-:class:`RunConfig` is the envelope a command-line report carries (and
-hashes) so a later run can replay it.  Nothing here reads the
-environment.
+Nothing here reads the environment.
 """
-
-from __future__ import annotations
-
-from dataclasses import dataclass, field, asdict
 
 
 # --------------------------------------------------------------------------
@@ -120,26 +114,4 @@ EMBED_UNIT_TOL = 1e-8
 #: Hard moment-ratio ceiling for centered quadratic forms: the proof fixes
 #: a base constant of 64 which one power-mean step doubles.
 EIGENBOUND_CONST = 128.0
-
-
-@dataclass
-class RunConfig:
-    """Reproducibility envelope for a command-line run.
-
-    Everything that can change a report's numbers is either a field here
-    or a deterministic function of one.  Serializing the config alongside
-    its results lets a later run replay the exact computation.
-    """
-
-    master_seed: int = 0
-    support_budget: int = SUPPORT_BUDGET
-    lp_max_n: int = LP_MAX_N
-    cert_gap_tol: float = CERT_GAP_TOL
-    quad_tol: float = QUAD_TOL
-    gaussian_levels: int = GAUSSIAN_LEVELS_DEFAULT
-    binomial_depth: int = BINOMIAL_N_DEFAULT
-    extras: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 

@@ -19,11 +19,11 @@ parity rows), so HiGHS solves it faster: by the dual simplex up to 600
 rows, by interior point with crossover above.  The rows' duals map to the
 parity basis by one Walsh-Hadamard transform and are the certificate, and
 q is evaluated on the cube by one integer transform.  The repair solves
-the support's parity system by one float LU, integer iterative
-refinement and rational reconstruction; floats only search, and an
-integer check of every row is the proof.  The sgn LP and the
-intersection LP share one driver.  The probe level is Monte Carlo, for
-quantities with no exact counterpart.
+the same marginal rows, restricted to the optimal vertex's support, by
+one float LU, integer iterative refinement and rational reconstruction;
+floats only search, and an integer check of every row is the proof.
+The sgn LP and the intersection LP share one driver.  The probe level is
+Monte Carlo, for quantities with no exact counterpart.
 
 Every sign of p is exact (``poly.signs``), with sgn(0) = +1 everywhere
 applied as ``signs(...) >= 0``.  Reports carry the sign-scale deviation;
@@ -101,12 +101,6 @@ def exact_sgn_expectation(p: DegTwoPoly,
     return 2 * space.probability(signs(p, space.points) >= 0) - 1
 
 
-def indicator_expectation(p: DegTwoPoly,
-                          space: Optional[SampleSpace] = None) -> Fraction:
-    """E[1{p >= 0}] on the same distributions; equals (1 + E[sgn])/2."""
-    return (1 + exact_sgn_expectation(p, space)) / 2
-
-
 # --------------------------------------------------------------------------
 # reports
 
@@ -177,40 +171,38 @@ def deviation(p: DegTwoPoly, space: SampleSpace) -> DeviationReport:
 # the adversarial LP
 
 
-def _parity_rows(masks: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """chi_S(x), int8 ±1, for every subset mask S (rows) and cube row index
-    x (columns): one broadcast popcount, a block of rows at a time."""
-    out = np.empty((masks.size, columns.size), dtype=np.int8)
-    step = max(1, BLOCK_ELEMENTS // max(columns.size, 1))
-    for lo in range(0, masks.size, step):
-        odd = popcount_u64(masks[lo:lo + step, None] & columns) & 1
-        out[lo:lo + step] = 1 - 2 * odd.astype(np.int8)
-    return out
-
-
-def _marginal_rows(n: int, masks: np.ndarray) -> sparse.csc_matrix:
-    """AND_S(x), 0/1, for every subset mask S of ``masks`` (rows) and every
-    cube row index x (columns): 1 where x has every bit of S set, that is
-    x_i = -1 for all i in S.  Row S has 2^(n - |S|) ones.  Built a block of
-    columns at a time, so each block's nonzeros come out in CSC order.
+def _marginal_rows(masks: np.ndarray, columns: np.ndarray) -> sparse.csc_matrix:
+    """AND_S(x), 0/1, for every subset mask S of ``masks`` (rows) and cube
+    row index x of ``columns`` (uint64): 1 where x has every bit of S set,
+    that is x_i = -1 for all i in S.  Over the whole cube row S has 2^(n -
+    |S|) ones.  Built a block of columns at a time, so each block's nonzeros
+    come out in CSC order.
 
     By inclusion-exclusion AND_S = 2^-|S| sum_{T <= S} (-1)^|T| chi_T, so
     the rows AND_S w = 2^-|S| (|S| <= k) state exactly what the parity rows
     chi_T w = [T = 0] do: every marginal of at most k coordinates uniform.
+    The empty set's row is the normalization.
     """
     from scipy import sparse
 
-    size = 1 << n
     step = max(1, BLOCK_ELEMENTS // max(masks.size, 1))
     indices, counts = [], [np.zeros(1, dtype=np.int64)]
-    for lo in range(0, size, step):
-        x = np.arange(lo, min(lo + step, size), dtype=np.uint64)
-        hit = (x[:, None] & masks) == masks
+    for lo in range(0, columns.size, step):
+        hit = (columns[lo:lo + step, None] & masks) == masks
         indices.append(np.nonzero(hit)[1])
         counts.append(np.count_nonzero(hit, axis=1))
     rows = np.concatenate(indices)
     return sparse.csc_matrix((np.ones(rows.size), rows, np.cumsum(np.concatenate(counts))),
-                             shape=(masks.size, size))
+                             shape=(masks.size, columns.size))
+
+
+def _check_lp_input(n: int, k: int) -> None:
+    """Refuse, before the cube is enumerated, an LP above the size cap or an
+    independence order outside 0..n."""
+    if n > config.LP_MAX_N:
+        raise ResourceBudgetError(f"LP enumeration capped at n = {config.LP_MAX_N}")
+    if not 0 <= k <= n:
+        raise ConfigurationError("independence order must lie in 0..n")
 
 
 def _lp_method(rows: int) -> str:
@@ -257,7 +249,7 @@ def _solve_lp(values: np.ndarray, n: int, k: int,
     s = values.astype(np.float64)
     subsets = cube.subsets_up_to(n, k)
     masks = np.array([0] + [cube.subset_mask(t) for t in subsets], dtype=np.uint64)
-    A = _marginal_rows(n, masks)
+    A = _marginal_rows(masks, np.arange(1 << n, dtype=np.uint64))
     method = _lp_method(A.shape[0])
     b = 0.5 ** popcount_u64(masks).astype(np.float64)
     sides, stats = [], {}
@@ -345,7 +337,8 @@ def _pivot_rows(M: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
 
 
 def _exact_matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """M @ v in Python ints for a ±1 matrix M and Python-int vector v.
+    """M @ v in Python ints for a matrix M with entries in {-1, 0, 1} and a
+    Python-int vector v.
 
     v is split into signed 31-bit limbs, so one int64 matmul multiplies
     them all exactly (each sum stays below cols * 2^31), and the columns of
@@ -378,14 +371,15 @@ def _reconstruct(N: np.ndarray, D: int, E: int) -> Optional[tuple[np.ndarray, in
 
 
 def _solve_exact(B: np.ndarray, lu: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int]:
-    """Exact solution num/den of the square ±1 system B x = c (c int64).
+    """Exact solution num/den of the square 0/1 system B x = c (c int64).
 
     Numeric-symbolic iterative refinement (Dixon 1982; Wan 2006): each step
     solves the residual in floats, scales it by 2^e to _REFINE_BITS bits,
     rounds it to an integer correction x and updates r <- 2^e r - B x in
     int64, so B N + r = D c with D = 2^(sum of e).  Every few steps N/D is
     reconstructed over one common denominator and returned once B num =
-    den c holds.  The budget is twice the Hadamard bound on det B in bits.
+    den c holds.  The budget is twice the Hadamard bound on det B in bits,
+    m^(m/2) for entries of magnitude at most 1.
     """
     m = c.size
     budget = int(m * math.log2(max(m, 2))) + 2 * int(np.abs(c).max()).bit_length() + 64
@@ -420,13 +414,13 @@ def _repair_witness(side: _LpSide) -> tuple[Optional[SampleSpace], Optional[str]
     """Exact-rational repair of the LP's optimal vertex: (witness, None),
     or (None, reason) when the repair gives up, never an unchecked witness.
 
-    The float solution nominates a support; M is the parity rows on it
-    (rows x support).
+    The float solution nominates a support; M is the LP's marginal rows on
+    it (rows x support, int8 0/1), with integer right-hand side 2^(32-|S|).
     One float LU of M picks independent rows; if they fall short, the
     lightest columns are pinned to multiples of 2^-32 near their float
     weights.  :func:`_solve_exact` solves the square system.  The proof is
     integer: over their common denominator D the weights are nonnegative and
-    every row of M sums to D (normalization) or 0 (parities).
+    every row S of M sums to D 2^-|S|.
     """
     w = side.weights
     support = np.nonzero(w > config.WITNESS_SUPPORT_TOL)[0]
@@ -434,7 +428,11 @@ def _repair_witness(side: _LpSide) -> tuple[Optional[SampleSpace], Optional[str]
     if cols > config.WITNESS_REPAIR_MAX_SUPPORT:
         return None, (f"LP support of {cols} points is above the repair cap "
                       f"of {config.WITNESS_REPAIR_MAX_SUPPORT}")
-    M = _parity_rows(side.masks, support.astype(np.uint64))
+    # int8 in C order: a float64 M is 8x larger, and the exact int64 matmuls
+    # over M ran 5x slower at 1,024 x 1,024 on the F-order array that a CSC
+    # matrix gives by default.
+    M = _marginal_rows(side.masks, support.astype(np.uint64)).astype(np.int8).toarray(order="C")
+    rhs = _CERT_DEN >> popcount_u64(side.masks).astype(np.int64)
     rows, rank, lu = _pivot_rows(M)
     free = np.arange(cols)
     pin = np.zeros(cols, dtype=np.int64)
@@ -444,23 +442,21 @@ def _repair_witness(side: _LpSide) -> tuple[Optional[SampleSpace], Optional[str]
         free = np.setdiff1d(free, pinned)
         rows, rank, lu = _pivot_rows(M[:, free])
         if rank < free.size:
-            return None, "the support's parity rows are singular after pinning"
+            return None, "the support's marginal rows are singular after pinning"
     B = M[rows][:, free].astype(np.int64)
-    # Row 0 is the normalization row: right-hand side 1, scaled by 2^32.
-    c = np.where(rows == 0, _CERT_DEN, 0) - M[rows].astype(np.int64) @ pin
+    c = rhs[rows] - M[rows].astype(np.int64) @ pin
     try:
         num, den = _solve_exact(B, lu, c)
     except InconclusiveError as exc:
         return None, str(exc)
     full = pin.astype(object) * den
     full[free] = num
-    den *= _CERT_DEN
     if any(v < 0 for v in full):
         return None, "a reconstructed weight is negative"
-    sums = _exact_matvec(M, full)
-    if sums[0] != den or sums[1:].any():
-        return None, "the exact parity check failed on the full system"
+    if not np.array_equal(_exact_matvec(M, full), den * rhs.astype(object)):
+        return None, "the exact marginal check failed on the full system"
     pts = cube.signs_for_indices(support.astype(np.uint64), side.n)
+    den *= _CERT_DEN
     return SampleSpace(n=side.n, k_claimed=side.k, points=pts,
                        weights=[Fraction(int(v), den) for v in full],
                        method="lp_witness"), None
@@ -477,11 +473,7 @@ def worst_case_lp(p: DegTwoPoly, k: int,
     repairs to exact rational feasibility and attaches.
     """
     n = p.n
-    if n > config.LP_MAX_N:
-        raise ResourceBudgetError(f"LP enumeration capped at n = {config.LP_MAX_N}")
-    if not 0 <= k <= n:
-        raise ConfigurationError("independence order must lie in 0..n")
-
+    _check_lp_input(n, k)
     report, sides = _solve_lp(sgn_values(p), n, k, "sgn")
     if not emit_witness:
         return report
@@ -525,8 +517,7 @@ def intersection_deviation(ps: Sequence[DegTwoPoly], k: int) -> DeviationReport:
     n = ps[0].n
     if any(q.n != n for q in ps):
         raise ConfigurationError("all polynomials must share a dimension")
-    if n > config.LP_MAX_N:
-        raise ResourceBudgetError(f"LP enumeration capped at n = {config.LP_MAX_N}")
+    _check_lp_input(n, k)
 
     points = cube.all_points(n)
     member = np.ones(1 << n, dtype=np.int64)

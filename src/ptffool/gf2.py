@@ -49,7 +49,7 @@ IRREDUCIBLE = {
 MAX_DEGREE = max(IRREDUCIBLE)
 
 #: Most entries of one block of a blocked array step (the fooling LP's
-#: parity rows, the verifier's sign bits, the Gaussian spaces' table
+#: marginal rows, the verifier's sign bits, the Gaussian spaces' table
 #: lookups), so temporaries stay at a few MB whatever the row count.
 BLOCK_ELEMENTS = 1 << 19
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -147,25 +147,6 @@ def mc_moment_hypercube(p: DegTwoPoly, k: int, samples: int = 200_000,
     value = math.fsum(partials) / samples
     return MomentReport(k=k, exact_or_mc="mc", value=value,
                         samples=samples, seed=seed)
-
-
-def moment_series(p: DegTwoPoly, ks: Sequence[int],
-                  center: str = "none") -> list[MomentReport]:
-    """Absolute moments for each order, with the power-mean monotonicity
-    of k -> E[|f|^k]^{1/k} asserted across the series."""
-    reports = []
-    q = _centered(p, center)
-    vals = np.abs(cube.poly_values(q))
-    for k in sorted(ks):
-        _require_enumerable(p.n, k)
-        value = _chunked_mean(vals, lambda v, kk=k: v ** kk)
-        reports.append(MomentReport(k=k, exact_or_mc="exact", value=value))
-    roots = [r.value ** (1.0 / r.k) for r in reports]
-    for lo, hi in zip(roots, roots[1:]):
-        if hi < lo * (1.0 - 1e-12):
-            raise ContractViolationError(
-                "power-mean monotonicity failed; enumeration is corrupt")
-    return reports
 
 
 def eigenbound_ratio(A: np.ndarray, k: int, strict: bool = True

@@ -48,6 +48,22 @@ def test_poly_info_report_envelope(tmp_path, product_poly_file):
     assert len(rep["config_hash"]) == 64
 
 
+def test_config_hash_follows_the_parameters(tmp_path, product_poly_file):
+    """Runs that differ only in --k hash differently; runs that differ only
+    in where the report goes hash alike."""
+    reports = []
+    for k, name in ((1, "a.json"), (2, "b.json"), (1, "c.json")):
+        path = str(tmp_path / name)
+        assert main(["fool", "lp", "--poly", product_poly_file, "--k", str(k),
+                     "--report", path]) == 0
+        reports.append(_read_report(path))
+    k1, k2, again = reports
+    assert k1["config"]["k"] == 1 and k2["config"]["k"] == 2
+    assert "report" not in k1["config"] and "func" not in k1["config"]
+    assert k1["config_hash"] != k2["config_hash"]
+    assert k1["config_hash"] == again["config_hash"]
+
+
 def test_poly_decompose(tmp_path, product_poly_file):
     out = str(tmp_path / "d.json")
     assert main(["poly", "decompose", "--poly", product_poly_file,
@@ -345,7 +361,7 @@ def _off_by_one(num, den):
     (lambda mp: mp.setattr(fooling, "lu_solve", lambda f, r, **kw: np.zeros(r.shape)),
      "iterative refinement did not converge"),
     (lambda mp: _wrap_solver(mp, _negate_first), "a reconstructed weight is negative"),
-    (lambda mp: _wrap_solver(mp, _off_by_one), "the exact parity check failed"),
+    (lambda mp: _wrap_solver(mp, _off_by_one), "the exact marginal check failed"),
 ])
 def test_fool_lp_inconclusive_reason_names_the_cause(tmp_path, monkeypatch,
                                                      product_poly_file, patch, reason):

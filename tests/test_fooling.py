@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import fraction_values, random_poly
-from ptffool import fooling, spaces
+from ptffool import config, cube, fooling, spaces
 from ptffool.errors import ConfigurationError, ResourceBudgetError
 from ptffool.poly import DegTwoPoly
 
@@ -24,13 +24,6 @@ def test_sgn_at_zero_is_plus_one():
     # p identically zero: sgn(0) = +1 everywhere
     p = DegTwoPoly.from_terms(2)
     assert fooling.exact_sgn_expectation(p) == Fraction(1)
-
-
-def test_indicator_is_affine_in_sgn():
-    p = random_poly(5, np.random.default_rng(3))
-    e = fooling.exact_sgn_expectation(p)
-    ind = fooling.indicator_expectation(p)
-    assert ind == (1 + e) / 2
 
 
 def test_deviation_under_exact_space():
@@ -128,6 +121,25 @@ def test_intersection_of_four_polynomials(rng):
 def test_intersection_rejects_an_empty_list():
     with pytest.raises(ConfigurationError):
         fooling.intersection_deviation([], 2)
+
+
+@pytest.mark.parametrize("solve", [fooling.worst_case_lp,
+                                   lambda p, k: fooling.intersection_deviation([p], k)],
+                         ids=["worst_case", "intersection"])
+@pytest.mark.parametrize("n, k, error", [(3, -1, ConfigurationError),
+                                         (3, 4, ConfigurationError),
+                                         (config.LP_MAX_N + 1, 2, ResourceBudgetError)])
+def test_lp_input_checks(monkeypatch, solve, n, k, error):
+    """Both LP entry points refuse an order outside 0..n and an n above the
+    cap, before they enumerate the cube."""
+    p = random_poly(n, np.random.default_rng(0))
+
+    def enumerate_cube(n):
+        raise AssertionError("the cube was enumerated")
+
+    monkeypatch.setattr(cube, "all_points", enumerate_cube)
+    with pytest.raises(error):
+        solve(p, k)
 
 
 def test_anticoncentration_probe_exact_mode():

@@ -3,7 +3,7 @@
 The solver states k-wise independence by one sparse row per set S of at
 most k coordinates, Pr[x_i = -1 for all i in S] = 2^-|S|.  The oracle
 here is the dense point-mass LP: one ±1 row per parity of order <= k,
-built from ``fooling._parity_rows`` and solved by HiGHS's dual simplex.
+built from ``cube.parity_column`` and solved by HiGHS's dual simplex.
 Both must give the same optima, and the solver's certificates must hold
 at every cube point in integers and its witnesses repair exactly.
 """
@@ -26,12 +26,19 @@ def _masks(n: int, k: int) -> np.ndarray:
                     dtype=np.uint64)
 
 
+def _parities(n: int, k: int) -> np.ndarray:
+    """chi_S over the cube, one row per subset of order <= k in the order of
+    :func:`_masks`, the empty set's first."""
+    return np.array([cube.parity_column(n, s) for s in [()] + cube.subsets_up_to(n, k)],
+                    dtype=np.int64)
+
+
 def _dense_optima(values: np.ndarray, n: int, k: int) -> tuple[float, float]:
     """(max, min) of E_w[values] over w >= 0 with every parity row of order
     <= k at its uniform value, by the dense LP."""
     from scipy.optimize import linprog
 
-    A = fooling._parity_rows(_masks(n, k), np.arange(1 << n, dtype=np.uint64))
+    A = _parities(n, k)
     b = np.zeros(A.shape[0])
     b[0] = 1.0
     s = values.astype(np.float64)
@@ -123,10 +130,10 @@ def test_marginal_rows_are_parity_rows_by_inclusion_exclusion(n):
     """2^|S| AND_S = sum over T <= S of (-1)^|T| chi_T, in integers, for
     every subset S of every order."""
     masks = _masks(n, n)
-    marginal = fooling._marginal_rows(n, masks).toarray()
+    marginal = fooling._marginal_rows(masks, np.arange(1 << n, dtype=np.uint64)).toarray()
     assert set(np.unique(marginal)) <= {0.0, 1.0}
     marginal = marginal.astype(np.int64)
-    parity = fooling._parity_rows(masks, np.arange(1 << n, dtype=np.uint64)).astype(np.int64)
+    parity = _parities(n, n)
     row_of = {int(m): i for i, m in enumerate(masks)}
     for S, i in row_of.items():
         want = sum((-1) ** bin(T).count("1") * parity[row_of[T]]

@@ -115,15 +115,6 @@ def test_khintchine_property(salt, k):
     assert rep.value <= rep.bound * (1 + 1e-12)
 
 
-def test_moment_series_increasing_even_orders(rng):
-    p = random_poly(6, rng, with_linear=False, with_constant=False)
-    reps = moments.moment_series(p, [2, 4, 6])
-    vals = [r.value for r in reps]
-    # normalized: E[q^2]^(k/2) <= E[q^k] for k >= 2 by power mean
-    assert vals[0] ** 2 <= vals[1] * (1 + 1e-12)
-    assert vals[1] ** (3 / 2) <= vals[2] * (1 + 1e-9) * max(1.0, vals[2])
-
-
 def test_tail_check_modes(rng):
     p = random_poly(8, rng)
     rep = moments.hypercontractive_tail_check(p, t=4.0)

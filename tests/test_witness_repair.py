@@ -72,14 +72,16 @@ def test_solver_off_by_one_over_den_is_refused(monkeypatch):
 
     monkeypatch.setattr(fooling, "_solve_exact", off_by_one)
     witness, why = fooling._repair_witness(side)
-    assert witness is None and "exact parity check failed" in why
+    assert witness is None and "exact marginal check failed" in why
 
 
 def test_exact_matvec_on_wide_signed_integers():
+    """A ±1 matrix and a 0/1 one, as the marginal rows are."""
     rng = np.random.default_rng(3)
-    M = rng.choice(np.array([-1, 1], dtype=np.int8), size=(9, 6))
+    signed = rng.choice(np.array([-1, 1], dtype=np.int8), size=(9, 6))
     v = np.array([int(x) for x in rng.integers(-2 ** 62, 2 ** 62, size=6)], dtype=object)
     v[0] = -(3 ** 200)
     v[1] = 0
-    want = [sum(int(M[i, j]) * int(v[j]) for j in range(6)) for i in range(9)]
-    assert list(fooling._exact_matvec(M, v)) == want
+    for M in (signed, rng.choice(np.array([0, 1], dtype=np.int8), size=(9, 6))):
+        want = [sum(int(M[i, j]) * int(v[j]) for j in range(6)) for i in range(9)]
+        assert list(fooling._exact_matvec(M, v)) == want
