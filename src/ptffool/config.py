@@ -49,7 +49,8 @@ SPECTRAL_RECONSTRUCT_TOL = 1e-10
 # --------------------------------------------------------------------------
 # LP harness and certificates
 
-#: Feasibility/optimality tolerance requested from the floating LP solve.
+#: Feasibility tolerance of the floating LP solve, passed to HiGHS as its
+#: primal and dual feasibility tolerance.
 LP_FEAS_TOL = 1e-9
 
 #: Denominator cap when rounding dual certificates to exact rationals.

@@ -254,7 +254,11 @@ def _solve_lp(values: np.ndarray, n: int, k: int,
     b = 0.5 ** popcount_u64(masks).astype(np.float64)
     sides, stats = [], {}
     for side_sense, sign in (("max", -1.0), ("min", 1.0)):
-        res = linprog(sign * s, A_eq=A, b_eq=b, bounds=(0.0, None), method=method)
+        # at HiGHS's default 1e-7 tolerances a vertex can miss its marginal
+        # rows by more than the witness repair's exact check forgives
+        res = linprog(sign * s, A_eq=A, b_eq=b, bounds=(0.0, None), method=method,
+                      options={"primal_feasibility_tolerance": config.LP_FEAS_TOL,
+                               "dual_feasibility_tolerance": config.LP_FEAS_TOL})
         if res.status == 1:
             raise InconclusiveError("LP hit its iteration cap")
         if res.status != 0:

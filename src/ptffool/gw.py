@@ -255,7 +255,7 @@ def round_with_space(graph: Graph, embedding: Embedding,
             std_error=0.0, k=gspace.k_claimed, seed=None,
             min_cut=float(cuts.min()), max_cut=float(cuts.max()))
 
-    if trials is None or trials < 1:
+    if trials < 1:
         raise ConfigurationError("mc rounding needs a positive trial count")
     rng = np.random.default_rng(seed)
     pieces = []

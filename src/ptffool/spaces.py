@@ -13,8 +13,12 @@ Two explicit constructions are provided for k-wise independent ±1 vectors:
   the Vandermonde length.
 
 Both, and the Gaussian spaces below, are GF(2)-linear in the seed bits,
-so every space is one generator matrix G (seed bits x output bits):
-materializing and enumerating are XOR doubling over the rows of G, and
+so every space is one generator matrix G (seed bits x output bits), and
+each construction is one function that returns it, with the field degree
+and evaluation points derived from n: ``_bernoulli_generator`` for the
+two above, ``_evaluation_generator`` for the inverse_cdf levels.  A
+Gaussian space holds its G from the build.  Materializing and
+enumerating are XOR doubling over the rows of G, and
 a Gaussian sample is one lookup per byte of its seed, in a table of that
 byte's 256 XOR-combinations of G's rows packed into uint64 words.
 
@@ -38,9 +42,9 @@ coordinates are not k-wise independent in law.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -70,66 +74,31 @@ def _evaluation_generator(points, k: int, m: int, width: int) -> np.ndarray:
     return unpack_bits(basis.reshape(k * m, len(points)), width)
 
 
+def _bernoulli_generator(n: int, k: int, method: str) -> np.ndarray:
+    """G (seed bits x n, uint8) of an exactly k-wise independent space on
+    {-1,1}^n: coordinate i of seed s is -1 iff bit i of (bits of s) @ G
+    mod 2 is set.  The ``binomial_sum`` Gaussian space samples the BCH
+    space through G and never materializes its support, which is too
+    large when n*N is."""
+    if method == "vandermonde_bit":
+        m = max(1, (n - 1).bit_length())        # ceil(log2 n)
+        return _evaluation_generator(gf_elements(n, m), k, m, 1)
+    if method != "bch_parity":
+        raise ConfigurationError(f"unknown method {method!r}")
+    # bit i = parity ^ <y_j, alpha_i^(2j+1)> over the m-bit blocks y_j
+    m = n.bit_length()                          # ceil(log2(n + 1))
+    alpha = np.array(gf_elements(n, m, nonzero=True), dtype=np.uint64)
+    odd = gf_mul_vec(gf_powers(gf_mul_vec(alpha, alpha, m), k // 2, m), alpha, m)
+    G = unpack_bits(odd.T, m).T
+    if k % 2:               # the shared parity bit is seed bit 0
+        G = np.vstack([np.ones((1, n), dtype=np.uint8), G])
+    return G
+
+
 def _quantiles(levels: np.ndarray, q: int) -> np.ndarray:
     """The normal quantiles ndtri((levels + 1/2) / q) of q-level uniforms."""
     from scipy.special import ndtri     # scipy.special: on first use
     return ndtri((levels + 0.5) / q)
-
-
-# --------------------------------------------------------------------------
-# seed-indexed constructions
-
-
-@dataclass(frozen=True)
-class BernoulliConstruction:
-    """A seed-indexed k-wise independent map {0,1}^seed_bits -> {-1,1}^n,
-    GF(2)-linear with generator matrix ``generator()``.  The Gaussian
-    ``binomial_sum`` method samples it through G and never materializes
-    its support, which is too large when n*N is.
-    """
-
-    n: int
-    k: int
-    method: str          # "vandermonde_bit" | "bch_parity"
-    m: int               # field degree
-    seed_bits: int
-    eval_points: tuple[int, ...]
-
-    @property
-    def num_seeds(self) -> int:
-        return 1 << self.seed_bits
-
-    def generator(self) -> np.ndarray:
-        """G (seed_bits x n, uint8): coordinate i of seed s is -1 iff bit i
-        of (bits of s) @ G mod 2 is set."""
-        if self.method == "vandermonde_bit":
-            return _evaluation_generator(self.eval_points, self.k, self.m, 1)
-        # bch: bit i = parity ^ <y_j, alpha_i^(2j+1)> over the m-bit blocks y_j
-        alpha = np.array(self.eval_points, dtype=np.uint64)
-        odd = gf_mul_vec(gf_powers(gf_mul_vec(alpha, alpha, self.m),
-                                   self.k // 2, self.m), alpha, self.m)
-        G = unpack_bits(odd.T, self.m).T
-        if self.k % 2:          # the shared parity bit is seed bit 0
-            G = np.vstack([np.ones((1, self.n), dtype=np.uint8), G])
-        return G
-
-    def materialize(self) -> np.ndarray:
-        """Every point, row s for seed s."""
-        return 1 - 2 * xor_span(self.generator()).view(np.int8)
-
-
-def _vandermonde_construction(n: int, k: int) -> BernoulliConstruction:
-    m = max(1, math.ceil(math.log2(n))) if n > 1 else 1
-    points = tuple(gf_elements(n, m))
-    return BernoulliConstruction(n=n, k=k, method="vandermonde_bit", m=m,
-                                 seed_bits=k * m, eval_points=points)
-
-
-def _bch_construction(n: int, k: int) -> BernoulliConstruction:
-    m = max(1, math.ceil(math.log2(n + 1)))
-    points = tuple(gf_elements(n, m, nonzero=True))
-    return BernoulliConstruction(n=n, k=k, method="bch_parity", m=m,
-                                 seed_bits=(k // 2) * m + k % 2, eval_points=points)
 
 
 # --------------------------------------------------------------------------
@@ -199,18 +168,14 @@ def build_kwise_bernoulli(n: int, k: int, method: str = "vandermonde_bit") -> Sa
     ``config.SUPPORT_BUDGET`` of them."""
     if not 1 <= k <= n:
         raise InvalidOrderError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if method == "vandermonde_bit":
-        cons = _vandermonde_construction(n, k)
-    elif method == "bch_parity":
-        cons = _bch_construction(n, k)
-    else:
-        raise ConfigurationError(f"unknown method {method!r}")
-    if cons.num_seeds > config.SUPPORT_BUDGET:
+    G = _bernoulli_generator(n, k, method)
+    bits = G.shape[0]
+    if 1 << bits > config.SUPPORT_BUDGET:
         raise ResourceBudgetError(
-            f"construction needs support 2^{cons.seed_bits} = "
-            f"{cons.num_seeds} > budget {config.SUPPORT_BUDGET}")
-    return SampleSpace(n=n, k_claimed=k, points=cons.materialize(), weights=None,
-                       seed_bits=cons.seed_bits, method=method)
+            f"construction needs support 2^{bits} = "
+            f"{1 << bits} > budget {config.SUPPORT_BUDGET}")
+    return SampleSpace(n=n, k_claimed=k, points=1 - 2 * xor_span(G).view(np.int8),
+                       weights=None, seed_bits=bits, method=method)
 
 
 def sample(space: SampleSpace, seed: int) -> np.ndarray:
@@ -337,35 +302,29 @@ class GaussianSpace:
     degree <= 2k matches independent coordinates exactly, but the
     coordinates are not k-wise independent: at n=2, k=2, N=16 the joint
     law of (z1, z2) is up to 0.04 away from the product of its marginals.
+
+    Either space is held as its generator matrix ``G`` (seed bits x output
+    bits, uint8), built once by ``build_kwise_gaussian``: the log2 q level
+    bits of each coordinate for inverse_cdf, the n*N bits of the BCH
+    space for binomial_sum.
     """
 
     n: int
     k_claimed: int
     method: str                       # "inverse_cdf" | "binomial_sum"
     resolution: int                   # q for inverse_cdf, N for binomial_sum
-    m: int = 0                        # field degree (inverse_cdf)
-    eval_points: tuple[int, ...] = ()
-    underlying: Optional[BernoulliConstruction] = None
-    seed_bits: int = 0
+    G: np.ndarray = field(repr=False, compare=False)
 
     @property
     def num_seeds(self) -> int:
-        return 1 << self.seed_bits
-
-    def generator(self) -> np.ndarray:
-        """G (seed_bits x output bits, uint8): the log2 q level bits of each
-        coordinate for inverse_cdf, the underlying bits for binomial_sum."""
-        if self.method == "inverse_cdf":
-            return _evaluation_generator(self.eval_points, self.k_claimed,
-                                         self.m, self.resolution.bit_length() - 1)
-        return self.underlying.generator()
+        return 1 << len(self.G)
 
     @cached_property
     def _packed_rows(self) -> np.ndarray:
         """G's rows in uint64 words, least significant bit first: inverse_cdf
         levels 64 // width to a word, each binomial_sum coordinate's N bits
         in words of its own.  Built on first use, once per space."""
-        G, n = self.generator(), self.n
+        G, n = self.G, self.n
         rows, width = G.shape[0], G.shape[1] // n
         per_word = 64 // width if self.method == "inverse_cdf" else 1
         groups = -(-n // per_word)
@@ -377,8 +336,9 @@ class GaussianSpace:
 
     def _block_bits(self) -> int:
         """Bits per seed block: an m-bit field coefficient for inverse_cdf,
-        a byte for binomial_sum; blocks are little-endian in the seed."""
-        return self.m if self.method == "inverse_cdf" else 8
+        one of k_claimed, a byte for binomial_sum; blocks are little-endian
+        in the seed."""
+        return len(self.G) // self.k_claimed if self.method == "inverse_cdf" else 8
 
     def _decode(self, words: np.ndarray) -> np.ndarray:
         """Samples (rows, n) from packed outputs (rows, words)."""
@@ -404,7 +364,7 @@ class GaussianSpace:
         are built a run of blocks at a time, a few MiB whatever k is.
         """
         packed, bits = self._packed_rows, self._block_bits()
-        blocks, nbytes, words = -(-self.seed_bits // bits), -(-bits // 8), packed.shape[1]
+        blocks, nbytes, words = -(-len(packed) // bits), -(-bits // 8), packed.shape[1]
         basis = np.zeros((blocks, nbytes * 8, words), dtype=np.uint64)
         basis[:, :bits] = np.pad(packed, ((0, blocks * bits - len(packed)), (0, 0))
                                  ).reshape(blocks, bits, words)
@@ -434,10 +394,10 @@ class GaussianSpace:
     def sample(self, seed: int) -> np.ndarray:
         """Deterministic sample from an integer seed (any size)."""
         if not 0 <= seed < self.num_seeds:
-            raise ValueError(f"seed out of range [0, 2^{self.seed_bits})")
+            raise ValueError(f"seed out of range [0, 2^{len(self.G)})")
         bits = self._block_bits()
         blocks = np.array([[(seed >> j) & ((1 << bits) - 1)]
-                           for j in range(0, self.seed_bits, bits)], dtype=np.uint64)
+                           for j in range(0, len(self.G), bits)], dtype=np.uint64)
         return self._decode(self._images(lambda lo, hi: blocks[lo:hi], 1))[0]
 
     def sample_batch(self, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -449,19 +409,20 @@ class GaussianSpace:
         """
         if self.method == "inverse_cdf":
             return self._decode(self._images(lambda lo, hi: rng.integers(
-                0, 1 << self.m, size=(hi - lo, count), dtype=np.uint64), count))
-        raw = rng.integers(0, 1 << 32, size=(count, -(-self.seed_bits // 32)), dtype=np.uint32)
+                0, 1 << self._block_bits(), size=(hi - lo, count), dtype=np.uint64), count))
+        raw = rng.integers(0, 1 << 32, size=(count, -(-len(self.G) // 32)), dtype=np.uint32)
         seed_bytes = np.ascontiguousarray(raw[:, ::-1], dtype="<u4").view(np.uint8).T
         return self._decode(self._images(lambda lo, hi: seed_bytes[lo:hi], count))
 
     def enumerate_samples(self) -> np.ndarray:
-        """All samples, one per seed; needs 2^seed_bits within SUPPORT_BUDGET."""
+        """All samples, one per seed; needs 2^(seed bits) within SUPPORT_BUDGET."""
         if self.num_seeds > config.SUPPORT_BUDGET:
             raise ResourceBudgetError(
-                f"2^{self.seed_bits} seeds exceed budget {config.SUPPORT_BUDGET}")
+                f"2^{len(self.G)} seeds exceed budget {config.SUPPORT_BUDGET}")
         return self._decode(xor_span(self._packed_rows))
 
 
+@lru_cache(maxsize=None)
 def _marginal_variance(q: int) -> float:
     """Variance of the q-level quantile grid, from its lower half: for q a
     power of two, (i + 1/2)/q is dyadic and level q-1-i is exactly minus
@@ -483,28 +444,22 @@ def build_kwise_gaussian(n: int, k: int, method: str = "inverse_cdf",
             raise ConfigurationError("resolution must be >= 16")
         if q & (q - 1):
             raise ConfigurationError("inverse_cdf resolution must be a power of 2")
-        lev_bits = q.bit_length() - 1
-        need_pts = max(1, math.ceil(math.log2(n))) if n > 1 else 1
-        m = max(lev_bits, need_pts)
-        gs = GaussianSpace(n=n, k_claimed=k, method="inverse_cdf",
-                           resolution=q, m=m,
-                           eval_points=tuple(gf_elements(n, m)),
-                           seed_bits=k * m)
+        width = q.bit_length() - 1
+        m = max(width, (n - 1).bit_length())    # a field point per coordinate
+        points = gf_elements(n, m)              # refuses m > 24 before the q-level grid
         var = _marginal_variance(q)
         if abs(var - 1.0) > config.GAUSSIAN_VARIANCE_TOL:
             raise ConfigurationError(
                 f"resolution q={q} gives marginal variance {var:.4f}, "
                 f"outside 1 ± {config.GAUSSIAN_VARIANCE_TOL}")
-        return gs
+        G = _evaluation_generator(points, k, m, width)
+        return GaussianSpace(n=n, k_claimed=k, method="inverse_cdf", resolution=q, G=G)
     if method == "binomial_sum":
         N = config.BINOMIAL_N_DEFAULT if resolution is None else resolution
         if N < 16:
             raise ConfigurationError("resolution must be >= 16")
-        order = min(2 * k, n * N)
-        cons = _bch_construction(n * N, order)
-        return GaussianSpace(n=n, k_claimed=k, method="binomial_sum",
-                             resolution=N, underlying=cons,
-                             seed_bits=cons.seed_bits)
+        G = _bernoulli_generator(n * N, min(2 * k, n * N), "bch_parity")
+        return GaussianSpace(n=n, k_claimed=k, method="binomial_sum", resolution=N, G=G)
     raise ConfigurationError(f"unknown method {method!r}")
 
 

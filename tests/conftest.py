@@ -2,8 +2,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ptffool.poly import DegTwoPoly, regularity
+
+# A falsifying example prints its @reproduce_failure blob in the test log,
+# so it can be replayed without the .hypothesis/ database that found it.
+settings.register_profile("ptffool", print_blob=True)
+settings.load_profile("ptffool")
 
 
 def random_poly(n: int, rng: np.random.Generator, with_linear: bool = True,

@@ -6,7 +6,9 @@ products for the BCH space, 32-bit seed words assembled into Python ints
 for ``binomial_sum``, and a per-subset verifier in Fraction arithmetic;
 and the evaluation generator built from full field products, which the
 multiply-by-x basis replaced.
-They are only fast enough for small instances.
+They are only fast enough for small instances.  Each derives its field
+degree, evaluation points and seed length from (n, k, method) and q by
+the constructions' definitions, independently of ``spaces``.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtri
@@ -54,6 +57,41 @@ def evaluation_generator(points, k: int, m: int, width: int) -> np.ndarray:
     return unpack_bits(basis.reshape(k * m, len(alpha)), width)
 
 
+class Construction(NamedTuple):
+    n: int
+    k: int
+    method: str          # "vandermonde_bit" | "bch_parity"
+    m: int               # field degree
+    eval_points: list[int]
+    seed_bits: int
+
+
+def construction(n: int, k: int, method: str) -> Construction:
+    """A Bernoulli space's parameters.  vandermonde_bit evaluates k
+    coefficients at 0..n-1 in GF(2^m), m = ceil(log2 n) (1 at n = 1);
+    bch_parity pairs floor(k/2) blocks with the odd powers of 1..n in
+    GF(2^m), m = ceil(log2(n + 1)), plus a parity bit when k is odd."""
+    if method == "vandermonde_bit":
+        m = max(1, math.ceil(math.log2(n)))
+        return Construction(n, k, method, m, list(range(n)), k * m)
+    m = math.ceil(math.log2(n + 1))
+    return Construction(n, k, method, m, list(range(1, n + 1)), (k // 2) * m + k % 2)
+
+
+def inverse_cdf_field(gs) -> tuple[int, list[int]]:
+    """(m, evaluation points) of an inverse_cdf space: GF(2^m) holds both
+    the log2 q level bits and n distinct points 0..n-1."""
+    m = max(round(math.log2(gs.resolution)), math.ceil(math.log2(gs.n)))
+    return m, list(range(gs.n))
+
+
+def underlying(gs) -> Construction:
+    """The BCH space of a binomial_sum space: 2k-wise independent (capped
+    at its size) over all n*N bits."""
+    bits = gs.n * gs.resolution
+    return construction(bits, min(2 * gs.k_claimed, bits), "bch_parity")
+
+
 def _split_seed(cons, seed: int) -> tuple[int, list[int]]:
     """(parity bit, little-endian m-bit blocks) of a Bernoulli seed."""
     parity = 0
@@ -82,11 +120,11 @@ def point_from_seed(cons, seed: int) -> np.ndarray:
     return out
 
 
-def point_from_generator(cons, seed: int) -> np.ndarray:
+def point_from_generator(G: np.ndarray, seed: int) -> np.ndarray:
     """One ±1 point as the seed's bits times the generator matrix G, mod 2,
-    by an integer product: the per-seed form of ``materialize``."""
-    bits = np.array([(seed >> b) & 1 for b in range(cons.seed_bits)], dtype=np.int64)
-    return (1 - 2 * ((bits @ cons.generator()) & 1)).astype(np.int8)
+    by an integer product: the per-seed form of materializing a space."""
+    bits = np.array([(seed >> b) & 1 for b in range(len(G))], dtype=np.int64)
+    return (1 - 2 * ((bits @ G) & 1)).astype(np.int8)
 
 
 def points_for_seeds(cons, seeds: np.ndarray) -> np.ndarray:
@@ -116,11 +154,12 @@ def points_for_seeds(cons, seeds: np.ndarray) -> np.ndarray:
 
 def inverse_cdf_levels(gs, blocks) -> np.ndarray:
     """Horner evaluation of the coefficient blocks at every coordinate."""
+    m, points = inverse_cdf_field(gs)
     out = np.empty((len(blocks[0]), gs.n), dtype=np.uint64)
-    for i, alpha in enumerate(gs.eval_points):
+    for i, alpha in enumerate(points):
         acc = np.zeros(len(blocks[0]), dtype=np.uint64)
         for c in reversed(blocks):
-            acc = gf_mul_vec(acc, alpha, gs.m) ^ c
+            acc = gf_mul_vec(acc, alpha, m) ^ c
         out[:, i] = acc
     return out & np.uint64(gs.resolution - 1)
 
@@ -146,10 +185,11 @@ def sample_batch(gs, count: int, rng) -> np.ndarray:
     """Gaussian samples drawn through ``rng`` with the same draws as
     ``GaussianSpace.sample_batch``."""
     if gs.method == "inverse_cdf":
-        blocks = [rng.integers(0, 1 << gs.m, size=count, dtype=np.uint64)
+        m, _ = inverse_cdf_field(gs)
+        blocks = [rng.integers(0, 1 << m, size=count, dtype=np.uint64)
                   for _ in range(gs.k_claimed)]
         return _z(inverse_cdf_levels(gs, blocks), gs.resolution)
-    u = gs.underlying
+    u = underlying(gs)
     out = np.empty((count, gs.n), dtype=np.float64)
     chunk = max(1, (1 << 22) // max(1, u.n))
     done = 0
@@ -166,11 +206,11 @@ def sample_batch(gs, count: int, rng) -> np.ndarray:
 
 def sample(gs, seed: int) -> np.ndarray:
     if gs.method == "inverse_cdf":
-        mask = (1 << gs.m) - 1
-        blocks = [np.array([(seed >> (j * gs.m)) & mask], dtype=np.uint64)
+        m, _ = inverse_cdf_field(gs)
+        blocks = [np.array([(seed >> (j * m)) & ((1 << m) - 1)], dtype=np.uint64)
                   for j in range(gs.k_claimed)]
         return _z(inverse_cdf_levels(gs, blocks), gs.resolution)[0]
-    rows = point_from_seed(gs.underlying, seed).astype(np.float64)
+    rows = point_from_seed(underlying(gs), seed).astype(np.float64)
     return rows.reshape(gs.n, gs.resolution).sum(axis=1) / math.sqrt(gs.resolution)
 
 

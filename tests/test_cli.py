@@ -403,6 +403,13 @@ def test_fool_lp_repairs_witness_at_n10_k5(tmp_path):
     assert back.num_points > 512
 
 
+def test_fool_lp_repairs_witness_at_highs_feasibility_tolerance(tmp_path):
+    """At HiGHS's default 1e-7 feasibility tolerance, the max side's vertex
+    (support 162 of 163 rows) misses its marginal rows by 9.3e-8 and the
+    repair gives up; at ``config.LP_FEAS_TOL`` it is repaired."""
+    _fool_lp_witness_at(tmp_path, 8, 4, random_poly(8, np.random.default_rng(374)))
+
+
 @pytest.mark.parametrize("name, text", [
     ("g.graph", "1 2 \u22121\n"),                      # U+2212 minus sign
     ("e.emb", "1 2 1.0 0.0\n2 2 \u22121.0 0.0\n"),

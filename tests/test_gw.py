@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -113,18 +114,24 @@ def test_k1600_rounding_mean_cut_is_pinned():
 
 @pytest.mark.parametrize("method", ["inverse_cdf", "binomial_sum"])
 def test_space_builds_its_packed_generator_once(monkeypatch, method):
-    """Three batches of directions, and G is built for the first only."""
-    calls = []
-    generator = spaces.GaussianSpace.generator
-    monkeypatch.setattr(spaces.GaussianSpace, "generator",
-                        lambda self: calls.append(1) or generator(self))
+    """G is built with the space and packed for the first of three batches
+    of directions; ``sample(0)`` builds and packs nothing more."""
+    built, packed = [], []
+    for name in ("_evaluation_generator", "_bernoulli_generator"):
+        original = getattr(spaces, name)
+        monkeypatch.setattr(spaces, name, lambda *a, f=original: built.append(1) or f(*a))
+    pack = spaces.GaussianSpace.__dict__["_packed_rows"].func
+    counted = functools.cached_property(lambda self: packed.append(1) or pack(self))
+    counted.__set_name__(spaces.GaussianSpace, "_packed_rows")
+    monkeypatch.setattr(spaces.GaussianSpace, "_packed_rows", counted)
     c5 = gw.cycle_graph(5)
     emb = gw.generate_test_embedding(c5, "random_unit", dim=3, seed=11)
     gspace = spaces.build_kwise_gaussian(3, 4, method=method)
+    assert (len(built), len(packed)) == (1, 0)
     rep = gw.round_with_space(c5, emb, gspace, trials=3 * gw._TRIALS_PER_BATCH - 1, seed=5)
-    assert rep.trials == 3 * gw._TRIALS_PER_BATCH - 1 and len(calls) == 1
+    assert rep.trials == 3 * gw._TRIALS_PER_BATCH - 1
     gspace.sample(0)
-    assert len(calls) == 1
+    assert (len(built), len(packed)) == (1, 1)
 
 
 def test_cut_values_zero_inner_product_convention():

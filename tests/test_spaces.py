@@ -129,6 +129,21 @@ def test_gaussian_rejects_coarse_resolution():
         spaces.build_kwise_gaussian(4, 2, resolution=16)
 
 
+@pytest.mark.parametrize("q", [1 << 25, 1 << 40])
+def test_gaussian_refuses_levels_beyond_the_field_before_the_grid(q):
+    """GF(2^m) stops at m = 24, so q = 2^25 and up are refused before a
+    grid of q quantiles is built."""
+    with pytest.raises(ConfigurationError, match="field degree"):
+        spaces.build_kwise_gaussian(3, 2, resolution=q)
+
+
+@pytest.mark.parametrize("build", [spaces.build_kwise_bernoulli, spaces.build_kwise_gaussian])
+@pytest.mark.parametrize("method", ["reed_solomon", "", "BCH_PARITY"])
+def test_unknown_method_is_refused(build, method):
+    with pytest.raises(ConfigurationError, match="unknown method"):
+        build(4, 2, method=method)
+
+
 def test_gaussian_pairwise_product_vanishes():
     """Under a 2-wise Gaussian space, E[z_i z_j] over the whole seed
     space must vanish exactly by parity symmetry."""
@@ -158,14 +173,17 @@ def test_generator_points_match_per_seed_oracle():
     rng = np.random.default_rng(3)
     for n in range(1, 17):
         for k in range(1, min(n, 6) + 1):
-            for cons in (spaces._vandermonde_construction(n, k),
-                         spaces._bch_construction(n, k)):
+            for method in ("vandermonde_bit", "bch_parity"):
+                G = spaces._bernoulli_generator(n, k, method)
+                cons = kwise_reference.construction(n, k, method)
+                assert G.shape == (cons.seed_bits, n)
+                num_seeds = 1 << cons.seed_bits
                 if cons.seed_bits <= 14:
-                    seeds = np.arange(cons.num_seeds, dtype=np.uint64)
-                    assert np.array_equal(cons.materialize(),
+                    seeds = np.arange(num_seeds, dtype=np.uint64)
+                    assert np.array_equal(spaces.build_kwise_bernoulli(n, k, method).points,
                                           kwise_reference.points_for_seeds(cons, seeds))
-                for seed in [0, cons.num_seeds - 1, *rng.integers(cons.num_seeds, size=3)]:
-                    assert np.array_equal(kwise_reference.point_from_generator(cons, int(seed)),
+                for seed in [0, num_seeds - 1, *rng.integers(num_seeds, size=3)]:
+                    assert np.array_equal(kwise_reference.point_from_generator(G, int(seed)),
                                           kwise_reference.point_from_seed(cons, int(seed)))
 
 
@@ -194,12 +212,14 @@ def test_evaluation_generator_matches_full_product_oracle():
     construction with n <= 16 and k <= 6, and of the k=1600 Gaussian space."""
     for n in range(1, 17):
         for k in range(1, min(n, 6) + 1):
-            cons = spaces._vandermonde_construction(n, k)
-            assert np.array_equal(cons.generator(), kwise_reference.evaluation_generator(
-                cons.eval_points, k, cons.m, 1))
+            cons = kwise_reference.construction(n, k, "vandermonde_bit")
+            assert np.array_equal(spaces._bernoulli_generator(n, k, "vandermonde_bit"),
+                                  kwise_reference.evaluation_generator(
+                                      cons.eval_points, k, cons.m, 1))
     gs = spaces.build_kwise_gaussian(3, 1600)
-    assert np.array_equal(gs.generator(), kwise_reference.evaluation_generator(
-        gs.eval_points, 1600, gs.m, gs.resolution.bit_length() - 1))
+    m, points = kwise_reference.inverse_cdf_field(gs)
+    assert np.array_equal(gs.G, kwise_reference.evaluation_generator(
+        points, 1600, m, gs.resolution.bit_length() - 1))
 
 
 @pytest.mark.parametrize("levels", range(4, 21))
