@@ -86,21 +86,32 @@ def _write(text: str, path: Optional[str]) -> None:
 #: output paths, which change where results go but not what they are.
 _OUTPUT_ARGS = ("func", "report", "out", "csv", "emit_witness", "emit_cert")
 
+#: Parsed arguments that name input files, whose contents a report hashes.
+_INPUT_ARGS = ("poly", "space", "graph", "embedding")
+
 
 def _emit(payload: dict, path: Optional[str], args: argparse.Namespace) -> None:
     """Attach the reproducibility envelope and write JSON.
 
     The report's ``config`` is the command and every parsed argument but
-    the output paths, and ``config_hash`` is its sha256, so two runs share
-    a hash exactly when they computed from the same parameters.  Reports go
-    to the declared path when one was given, stdout otherwise; nothing else
-    is ever written.
+    the output paths, its ``inputs`` map each input file given to the
+    sha256 of its bytes, and ``config_hash`` is the sha256 of both, so two
+    runs share a hash exactly when they computed from the same parameters
+    and the same input files.  Reports go to the declared path when one was
+    given, stdout otherwise; nothing else is ever written.
     """
     cfg = {k: v for k, v in vars(args).items() if k not in _OUTPUT_ARGS}
+    inputs = {}
+    for name in _INPUT_ARGS:
+        file = getattr(args, name, None)
+        if file:
+            with open(file, "rb") as fh:
+                inputs[name] = hashlib.sha256(fh.read()).hexdigest()
     body = dict(payload)
     body["config"] = cfg
-    body["config_hash"] = hashlib.sha256(
-        json.dumps(cfg, sort_keys=True).encode()).hexdigest()
+    body["inputs"] = inputs
+    body["config_hash"] = hashlib.sha256(json.dumps(
+        {"config": cfg, "inputs": inputs}, sort_keys=True).encode()).hexdigest()
     body["version"] = _version()
     body["master_seed"] = args.seed
     body["timestamp"] = datetime.now(timezone.utc).isoformat()

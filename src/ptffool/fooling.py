@@ -18,12 +18,19 @@ nonzeros (54,528 in all at (n, k) = (10, 5), against 653,312 for dense ±1
 parity rows), so HiGHS solves it faster: by the dual simplex up to 600
 rows, by interior point with crossover above.  The rows' duals map to the
 parity basis by one Walsh-Hadamard transform and are the certificate, and
-q is evaluated on the cube by one integer transform.  The repair solves
-the same marginal rows, restricted to the optimal vertex's support, by
-one float LU, integer iterative refinement and rational reconstruction;
-floats only search, and an integer check of every row is the proof.
-The sgn LP and the intersection LP share one driver.  The probe level is
-Monte Carlo, for quantities with no exact counterpart.
+q is evaluated on the cube by one integer transform.
+
+When the R marginal rows are more than half the 2^n points, the same LP
+is solved from the certificate's side instead, with one row per vector of
+the kernel of the marginal rows, K = 2^n - R rows in all: the variables
+are the slack between q and the objective, and the rows say that q has
+degree <= k.  Its reduced costs are the optimal distribution.
+
+The repair solves the marginal rows, restricted to the optimal vertex's
+support, by one float LU, integer iterative refinement and rational
+reconstruction; floats only search, and an integer check of every row is
+the proof.  The sgn LP and the intersection LP share one driver.  The
+probe level is Monte Carlo, for quantities with no exact counterpart.
 
 Every sign of p is exact (``poly.signs``), with sgn(0) = +1 everywhere
 applied as ``signs(...) >= 0``.  Reports carry the sign-scale deviation;
@@ -146,7 +153,8 @@ class DeviationReport:
     witness_repair_failed: bool = False
     witness_repair_reason: Optional[str] = None
     objective: str = "sgn"               # "sgn" | "indicator"
-    lp: Optional[dict] = None            # size, method; per side status, iterations, support
+    lp: Optional[dict] = None            # form, size, method; per side status,
+                                         # iterations, support
 
     def check_order_invariant(self) -> bool:
         """lp_min <= uniform <= lp_max, within LP tolerance."""
@@ -196,6 +204,25 @@ def _marginal_rows(masks: np.ndarray, columns: np.ndarray) -> sparse.csc_matrix:
                              shape=(masks.size, columns.size))
 
 
+def _kernel_rows(n: int, k: int) -> sparse.csc_matrix:
+    """V^T: one row per set T of more than k coordinates, (-1)^(|T|+|x|) at
+    every cube row index x <= T, and 0 elsewhere.
+
+    Every marginal row of order <= k annihilates row T, because the sum
+    over S <= x <= T of (-1)^|T - x| is [S = T].  The 2^n - R rows are
+    independent: on the columns x = T, taken in order of |T|, they are unit
+    triangular.  So they span the kernel of the R marginal rows.  They are
+    the marginal rows of the complements, with the sign put on their data.
+    """
+    points = np.arange(1 << n, dtype=np.uint64)
+    sizes = popcount_u64(points)
+    tops = points[sizes > k]
+    full = np.uint64(points.size - 1)
+    V = _marginal_rows(full ^ tops, full ^ points)
+    V.data = 1.0 - 2.0 * ((sizes[tops][V.indices] ^ np.repeat(sizes, np.diff(V.indptr))) & 1)
+    return V
+
+
 def _check_lp_input(n: int, k: int) -> None:
     """Refuse, before the cube is enumerated, an LP above the size cap or an
     independence order outside 0..n."""
@@ -213,7 +240,15 @@ def _lp_method(rows: int) -> str:
     at k = 2 (56 rows), 0.18/0.32 s at k = 3 (176), 0.61/0.82 s at k = 4
     (386), 0.85/0.78 s at k = 5 (638), 1.02/0.71 s at k = 6 (848); at
     n = 11, 2.6/2.9 s at k = 4 (562) and 6.8/5.2 s at k = 5 (1,024); at
-    n = 12, 18.9/12.4 s at k = 4 (794)."""
+    n = 12, 18.9/12.4 s at k = 4 (794).
+
+    The rule sizes the marginal form only.  The kernel form is always
+    solved by interior point with crossover.  Both sides' time on the same
+    machine on one OpenBLAS thread, against the marginal form's (interior
+    point for both): at n = 10, 0.4/0.9 s at k = 5 (386 rows against 638)
+    and 0.2/1.0 s at k = 6 (176 against 848); at n = 11, 1.9/3.6 s at
+    k = 6 (562 against 1,486); at n = 12, 20/24 s at k = 6 (1,586 against
+    2,510) and 6.6/20 s at k = 7 (794 against 3,302)."""
     return "highs-ds" if rows <= 600 else "highs-ipm"
 
 
@@ -221,8 +256,9 @@ def _lp_method(rows: int) -> str:
 class _LpSide:
     sense: str                           # "max" | "min"
     optimum: float
-    weights: np.ndarray
-    dual: np.ndarray                     # χ-basis coefficients mapped from the marginal rows
+    weights: np.ndarray                  # an optimal distribution: the marginal form's
+                                         # solution, or the kernel form's reduced costs
+    dual: np.ndarray                     # sign times q's χ coefficients on masks
     subsets: list[tuple[int, ...]]
     masks: np.ndarray                    # uint64: 0 (normalization), then subsets'
     objective_values: np.ndarray         # s(x) over the cube
@@ -238,10 +274,26 @@ def _solve_lp(values: np.ndarray, n: int, k: int,
     report of the optima, the deviation on both scales, the certificates
     and the LP's size.
 
-    The variables are the 2^n point masses and the rows are
-    :func:`_marginal_rows`, one per subset of order <= k, the empty set's
-    being the normalization.  Their duals u give the Lagrangian function
-    A^T u on the cube, whose Walsh-Hadamard coefficients on ``masks`` are
+    The LP takes one of two forms, whichever has fewer rows; the report's
+    ``lp`` names it and gives the size of the matrix HiGHS was given.
+
+    - *Marginal:* the variables are the 2^n point masses and the rows are
+      :func:`_marginal_rows`, one per subset of order <= k, the empty
+      set's being the normalization.  Their duals u give the Lagrangian
+      function A^T u = sign q on the cube.
+    - *Kernel,* when 1 <= K = 2^n - R < R: the certificate's side.  The
+      variables are the slack mu = sign (s - q) >= 0 (q - s on the max
+      side, s - q on the min side), the cost is the uniform 2^-n, and the
+      rows :func:`_kernel_rows` say V^T mu = sign V^T s, that is V^T q =
+      0: q has degree <= k.  The optimum is E_U[s] - sign fun.  The
+      reduced costs 2^-n - V z are nonnegative, satisfy every marginal
+      row and vanish where mu does not, so they are an optimal
+      distribution.
+      Under the dual simplex they need not be a vertex, which the witness
+      repair needs, so this form is solved by interior point with
+      crossover.
+
+    Either way the Walsh-Hadamard coefficients of sign q on ``masks`` are
     the parity rows' duals that :func:`sandwich_from_dual` expects."""
     uni = Fraction(int(np.sum(values, dtype=np.int64)), values.size)
     report = DeviationReport(n=n, k=k, mode="lp", uniform_expectation=uni,
@@ -249,14 +301,22 @@ def _solve_lp(values: np.ndarray, n: int, k: int,
     s = values.astype(np.float64)
     subsets = cube.subsets_up_to(n, k)
     masks = np.array([0] + [cube.subset_mask(t) for t in subsets], dtype=np.uint64)
-    A = _marginal_rows(masks, np.arange(1 << n, dtype=np.uint64))
-    method = _lp_method(A.shape[0])
-    b = 0.5 ** popcount_u64(masks).astype(np.float64)
+    points = np.arange(1 << n, dtype=np.uint64)
+    kernel = 0 < points.size - masks.size < masks.size
+    if kernel:
+        A, form, method = _kernel_rows(n, k), "kernel", "highs-ipm"
+    else:
+        A = _marginal_rows(masks, points)
+        form, method = "marginal", _lp_method(A.shape[0])
     sides, stats = [], {}
     for side_sense, sign in (("max", -1.0), ("min", 1.0)):
+        if kernel:
+            c, b = np.full(points.size, 1.0 / points.size), sign * (A @ s)
+        else:
+            c, b = sign * s, 0.5 ** popcount_u64(masks).astype(np.float64)
         # at HiGHS's default 1e-7 tolerances a vertex can miss its marginal
         # rows by more than the witness repair's exact check forgives
-        res = linprog(sign * s, A_eq=A, b_eq=b, bounds=(0.0, None), method=method,
+        res = linprog(c, A_eq=A, b_eq=b, bounds=(0.0, None), method=method,
                       options={"primal_feasibility_tolerance": config.LP_FEAS_TOL,
                                "dual_feasibility_tolerance": config.LP_FEAS_TOL})
         if res.status == 1:
@@ -265,13 +325,18 @@ def _solve_lp(values: np.ndarray, n: int, k: int,
             # The uniform distribution is always feasible, so anything but
             # success means the solve itself broke.
             raise ConvergenceError(f"LP solver failure: {res.message}")
-        dual = cube.fwht_inplace(A.T @ res.eqlin.marginals)[masks] / (1 << n)
-        sides.append(_LpSide(sense=side_sense, optimum=sign * res.fun, weights=res.x,
+        if kernel:
+            optimum = float(uni) - sign * res.fun
+            weights, lagrangian = res.lower.marginals, sign * s - res.x
+        else:
+            optimum, weights, lagrangian = sign * res.fun, res.x, A.T @ res.eqlin.marginals
+        dual = cube.fwht_inplace(lagrangian)[masks] / points.size
+        sides.append(_LpSide(sense=side_sense, optimum=optimum, weights=weights,
                              dual=dual, subsets=subsets, masks=masks, objective_values=s,
                              uniform_expectation=uni, n=n, k=k))
-        support = int(np.count_nonzero(res.x > config.WITNESS_SUPPORT_TOL))
+        support = int(np.count_nonzero(weights > config.WITNESS_SUPPORT_TOL))
         stats[side_sense] = {"status": res.status, "iterations": res.nit, "support": support}
-    report.lp = {"rows": A.shape[0], "cols": A.shape[1], "nonzeros": A.nnz,
+    report.lp = {"form": form, "rows": A.shape[0], "cols": A.shape[1], "nonzeros": A.nnz,
                  "method": method, **stats}
     hi, lo = sides
     report.lp_max, report.lp_min = hi.optimum, lo.optimum

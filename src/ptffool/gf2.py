@@ -123,8 +123,10 @@ def xor_span(G: np.ndarray) -> np.ndarray:
     return out
 
 
-_POPCOUNT_16 = np.array([bin(i).count("1") for i in range(1 << 16)],
-                        dtype=np.uint8)
+# The bits of every 16-bit value, summed: for numpy < 2, which has no
+# bitwise_count.
+_POPCOUNT_16 = np.unpackbits(np.arange(1 << 16, dtype="<u2").view(np.uint8)).reshape(
+    -1, 16).sum(axis=1, dtype=np.uint8)
 
 
 def popcount_u64(v: np.ndarray) -> np.ndarray:

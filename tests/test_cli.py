@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -64,6 +65,26 @@ def test_config_hash_follows_the_parameters(tmp_path, product_poly_file):
     assert k1["config_hash"] == again["config_hash"]
 
 
+def test_config_hash_follows_the_input_files(tmp_path):
+    """The same argv on a rewritten polynomial file (x1 x2, then x1 x2 + 2)
+    hashes differently, and ``inputs`` holds the sha256 of each file read."""
+    poly_path = str(tmp_path / "p.poly")
+    reports = []
+    for constant in (0.0, 2.0):
+        dump_poly(DegTwoPoly.from_terms(2, constant=constant, quad_terms={(0, 1): 1.0}),
+                  poly_path)
+        with open(poly_path, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        path = str(tmp_path / f"r{len(reports)}.json")
+        assert main(["fool", "lp", "--poly", poly_path, "--k", "1", "--report", path]) == 0
+        reports.append(_read_report(path))
+        assert reports[-1]["inputs"] == {"poly": digest}
+    before, after = reports
+    assert (before["uniform_expectation"], after["uniform_expectation"]) == ("0", "1")
+    assert before["config"] == after["config"]
+    assert before["config_hash"] != after["config_hash"]
+
+
 def test_poly_decompose(tmp_path, product_poly_file):
     out = str(tmp_path / "d.json")
     assert main(["poly", "decompose", "--poly", product_poly_file,
@@ -112,11 +133,15 @@ def test_fool_exact(tmp_path, product_poly_file):
     assert _read_report(rep_path)["deviation"] == 0.0
 
 
-def test_fool_lp_with_emissions(tmp_path, product_poly_file):
+def _fool_lp_emissions(tmp_path, n):
+    """``fool lp --k 1`` with every emission on x1 x2 over n variables: the
+    report's ``lp`` object, after checking the emitted files."""
+    poly_path = str(tmp_path / "p.poly")
+    dump_poly(DegTwoPoly.from_terms(n, quad_terms={(0, 1): 1.0}), poly_path)
     rep_path = str(tmp_path / "r.json")
     wit = str(tmp_path / "w.space")
     cert = str(tmp_path / "c.json")
-    assert main(["fool", "lp", "--poly", product_poly_file, "--k", "1",
+    assert main(["fool", "lp", "--poly", poly_path, "--k", "1",
                  "--emit-witness", wit, "--emit-cert", cert,
                  "--report", rep_path]) == 0
     rep = _read_report(rep_path)
@@ -124,15 +149,30 @@ def test_fool_lp_with_emissions(tmp_path, product_poly_file):
     assert rep["witness_verified"] is True
     # witness file loads back as a valid one-wise space
     back = spaces.load_sample_space(wit)
-    assert back.n == 2
+    assert back.n == n
     certs = _read_report(cert)
     assert certs["upper"]["verified"] and certs["lower"]["verified"]
-    # rows for {}, {1}, {2}: 4 + 2 + 2 nonzeros over the 4 points
     lp = rep["lp"]
-    assert (lp["rows"], lp["cols"], lp["nonzeros"], lp["method"]) == (3, 4, 8, "highs-ds")
     assert lp["max"]["support"] == back.num_points
     for side in ("max", "min"):
         assert lp[side]["status"] == 0 and lp[side]["iterations"] >= 0
+    return lp
+
+
+def test_fool_lp_with_emissions(tmp_path):
+    """3 marginal rows against 1 kernel row: the kernel form, the row of
+    {1, 2} with its 4 signed entries."""
+    lp = _fool_lp_emissions(tmp_path, 2)
+    assert (lp["form"], lp["rows"], lp["cols"], lp["nonzeros"], lp["method"]) == (
+        "kernel", 1, 4, 4, "highs-ipm")
+
+
+def test_fool_lp_with_emissions_in_the_marginal_form(tmp_path):
+    """Rows for {}, {1}, {2}, {3}: 8 + 4 + 4 + 4 nonzeros over the 8 points,
+    against 4 kernel rows."""
+    lp = _fool_lp_emissions(tmp_path, 3)
+    assert (lp["form"], lp["rows"], lp["cols"], lp["nonzeros"], lp["method"]) == (
+        "marginal", 4, 8, 20, "highs-ds")
 
 
 def test_fool_lp_k0_witness_is_vacuously_verified(tmp_path, product_poly_file):
@@ -397,8 +437,11 @@ N10_POLY = DegTwoPoly.from_terms(10, constant=0.25, linear={i: 1.0 for i in rang
 
 
 def test_fool_lp_repairs_witness_at_n10_k5(tmp_path):
-    """Interior point with crossover at n = 10: a support of 541 points on
-    the max side and 442 on the min side, of 638 rows."""
+    """The kernel form at n = 10 (386 rows against 638 marginal rows),
+    solved by interior point with crossover: its reduced costs are a vertex,
+    of 542 points on the max side and 434 on the min side.  Under the dual
+    simplex the max side's reduced costs were no vertex (557 points of rank
+    546), and the repair gave up."""
     back = _fool_lp_witness_at(tmp_path, 10, 5, N10_POLY)
     assert back.num_points > 512
 

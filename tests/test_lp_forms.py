@@ -1,11 +1,13 @@
-"""The fooling LP's marginal rows against the dense parity-row LP.
+"""The fooling LP's two forms against the dense parity-row LP.
 
 The solver states k-wise independence by one sparse row per set S of at
-most k coordinates, Pr[x_i = -1 for all i in S] = 2^-|S|.  The oracle
-here is the dense point-mass LP: one ±1 row per parity of order <= k,
-built from ``cube.parity_column`` and solved by HiGHS's dual simplex.
-Both must give the same optima, and the solver's certificates must hold
-at every cube point in integers and its witnesses repair exactly.
+most k coordinates, Pr[x_i = -1 for all i in S] = 2^-|S|, or, when those
+rows are more than half the cube, by the kernel of those rows, from the
+certificate's side.  The oracle here is the dense point-mass LP: one ±1
+row per parity of order <= k, built from ``cube.parity_column`` and
+solved by HiGHS's dual simplex.  Both must give the same optima, and the
+solver's certificates must hold at every cube point in integers and its
+witnesses repair exactly.
 """
 
 from fractions import Fraction
@@ -139,6 +141,30 @@ def test_marginal_rows_are_parity_rows_by_inclusion_exclusion(n):
         want = sum((-1) ** bin(T).count("1") * parity[row_of[T]]
                    for T in row_of if T & S == T)
         assert np.array_equal(marginal[i] << bin(S).count("1"), want)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_kernel_rows_span_the_kernel_of_the_marginal_rows(n):
+    """For every k where the solver takes the kernel form (0 < K < R, with
+    K = 2^n - R): the R marginal rows times V are 0 in integers, and V has
+    full column rank K, because its rows x = T, taken in order of |T|, form
+    a unit lower triangular block."""
+    points = np.arange(1 << n, dtype=np.uint64)
+    regime = [k for k in range(n + 1) if 0 < points.size - _masks(n, k).size < _masks(n, k).size]
+    assert regime
+    for k in regime:
+        masks = _masks(n, k)
+        Vt = fooling._kernel_rows(n, k).toarray()
+        assert set(np.unique(Vt)) <= {-1.0, 0.0, 1.0}
+        Vt = Vt.astype(np.int64)
+        assert Vt.shape == (points.size - masks.size, points.size)
+        marginal = fooling._marginal_rows(masks, points).toarray().astype(np.int64)
+        assert not (marginal @ Vt.T).any()
+        tops = np.array([T for T in range(1 << n) if bin(T).count("1") > k])
+        order = np.argsort([bin(T).count("1") for T in tops], kind="stable")
+        block = Vt[order][:, tops[order]]
+        assert np.array_equal(block, np.tril(block))
+        assert np.all(np.diagonal(block) == 1)
 
 
 def test_certificate_evaluation_past_int64():
