@@ -610,7 +610,8 @@ def main(argv=None) -> int:
     except (ConfigurationError, FormatError, InvalidOrderError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 64
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # a missing input, a directory where a file belongs, no permission
         print(f"error: {exc}", file=sys.stderr)
         return 64
     except (InconclusiveError, ResourceBudgetError) as exc:

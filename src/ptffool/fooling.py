@@ -16,9 +16,14 @@ i in S] = 2^-|S| for every |S| <= k.  By inclusion-exclusion these rows
 span the same space as the parity rows, but row S has only 2^(n-|S|)
 nonzeros (54,528 in all at (n, k) = (10, 5), against 653,312 for dense ±1
 parity rows), so HiGHS solves it faster: by the dual simplex up to 600
-rows, by interior point with crossover above.  The rows' duals map to the
-parity basis by one Walsh-Hadamard transform and are the certificate, and
-q is evaluated on the cube by one integer transform.
+rows, by interior point with crossover above (see ``_lp_method`` for the
+timings).  HiGHS runs without presolve: the rows are independent and the
+2^n columns distinct, and its presolve left the rows, columns and
+nonzeros unchanged on every instance tried, in both forms, while costing
+2-13 ms a solve (over a third of HiGHS's time at (n, k) = (10, 2)).  The
+rows' duals map to the parity basis by one Walsh-Hadamard transform and
+are the certificate, and q is evaluated on the cube by one integer
+transform.
 
 When the R marginal rows are more than half the 2^n points, the same LP
 is solved from the certificate's side instead, with one row per vector of
@@ -235,20 +240,26 @@ def _check_lp_input(n: int, k: int) -> None:
 def _lp_method(rows: int) -> str:
     """The solver rule: HiGHS's dual simplex up to 600 rows, interior point
     with crossover (which still ends at the vertex the witness repair
-    needs) above.  Both sides' HiGHS time for a random p on a 2-core
-    machine, dual simplex against interior point: at n = 10, 0.05/0.09 s
-    at k = 2 (56 rows), 0.18/0.32 s at k = 3 (176), 0.61/0.82 s at k = 4
-    (386), 0.85/0.78 s at k = 5 (638), 1.02/0.71 s at k = 6 (848); at
-    n = 11, 2.6/2.9 s at k = 4 (562) and 6.8/5.2 s at k = 5 (1,024); at
-    n = 12, 18.9/12.4 s at k = 4 (794).
+    needs) above.  Both run without presolve, which reduced nothing on
+    any instance tried.  Both sides' HiGHS time without presolve for a
+    random p on a 2-core x86-64 machine on one OpenBLAS thread, dual
+    simplex against interior point: at n = 10, 0.13/0.20 s at k = 3 (176
+    rows), 0.42/0.65 s at k = 4 (386), 0.68-0.81/0.78 s at k = 5 (638),
+    0.71-0.88/0.62-0.86 s at k = 6 (848); at n = 11, 2.0/2.3 s at k = 4
+    (562; the medians of 5 runs, each side won some) and 6.6/3.6 s at
+    k = 5 (1,024); at n = 12, 15.6/9.0 s at k = 4 (794).  The dual simplex
+    wins at 386 rows and fewer, interior point at 794 and 1,024 rows; at
+    562, 638 and 848 rows neither wins by more than the runs spread, so
+    the threshold stays at 600.
 
     The rule sizes the marginal form only.  The kernel form is always
     solved by interior point with crossover.  Both sides' time on the same
-    machine on one OpenBLAS thread, against the marginal form's (interior
-    point for both): at n = 10, 0.4/0.9 s at k = 5 (386 rows against 638)
-    and 0.2/1.0 s at k = 6 (176 against 848); at n = 11, 1.9/3.6 s at
-    k = 6 (562 against 1,486); at n = 12, 20/24 s at k = 6 (1,586 against
-    2,510) and 6.6/20 s at k = 7 (794 against 3,302)."""
+    machine, against the marginal form's (interior point for both): at
+    n = 10, 0.40/0.60 s at k = 5 (386 rows against 638) and 0.13/0.61 s at
+    k = 6 (176 against 848); at n = 11, 1.8/3.9 s at k = 6 (562 against
+    1,486), all without presolve; with presolve, at n = 12, 20/24 s at
+    k = 6 (1,586 against 2,510) and 6.6/20 s at k = 7 (794 against
+    3,302)."""
     return "highs-ds" if rows <= 600 else "highs-ipm"
 
 
@@ -314,10 +325,15 @@ def _solve_lp(values: np.ndarray, n: int, k: int,
             c, b = np.full(points.size, 1.0 / points.size), sign * (A @ s)
         else:
             c, b = sign * s, 0.5 ** popcount_u64(masks).astype(np.float64)
-        # at HiGHS's default 1e-7 tolerances a vertex can miss its marginal
-        # rows by more than the witness repair's exact check forgives
+        # At HiGHS's default 1e-7 tolerances a vertex can miss its marginal
+        # rows by more than the witness repair's exact check forgives.
+        # Presolve is off: the rows are independent and the columns distinct,
+        # so it reduced nothing on any instance tried, in either form, and
+        # cost 2-13 ms a solve.  The repair then reads the simplex's own
+        # vertex, with no postsolve in between.
         res = linprog(c, A_eq=A, b_eq=b, bounds=(0.0, None), method=method,
-                      options={"primal_feasibility_tolerance": config.LP_FEAS_TOL,
+                      options={"presolve": False,
+                               "primal_feasibility_tolerance": config.LP_FEAS_TOL,
                                "dual_feasibility_tolerance": config.LP_FEAS_TOL})
         if res.status == 1:
             raise InconclusiveError("LP hit its iteration cap")

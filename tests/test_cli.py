@@ -272,6 +272,21 @@ def test_schema_violations_exit_64(tmp_path, product_poly_file):
     assert main(["poly", "info", "--poly", str(bad)]) == 64
 
 
+@pytest.mark.parametrize("argv", [
+    ["fool", "lp", "--poly", "{dir}", "--k", "1"],
+    ["kwise", "verify", "--space", "{dir}"],
+    ["fool", "lp", "--poly", "{poly}", "--k", "1", "--report", "{dir}"],
+    ["kwise", "build", "--n", "8", "--k", "2", "--out", "{dir}"],
+])
+def test_directory_paths_exit_64(tmp_path, capsys, product_poly_file, argv):
+    """A directory where a file is read or written is bad input: an
+    ``error:`` line and 64, not a traceback and 1."""
+    argv = [a.format(dir=tmp_path, poly=product_poly_file) for a in argv]
+    assert main(argv) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_failed_check_exits_1(tmp_path):
     # claim order 5 for a space that is only 4-wise: verify must fail
     sp = spaces.build_kwise_bernoulli(16, 4, method="bch_parity")

@@ -28,6 +28,12 @@ def _masks(n: int, k: int) -> np.ndarray:
                     dtype=np.uint64)
 
 
+def _kernel_form(n: int, k: int) -> bool:
+    """Whether the solver takes the kernel form at (n, k): 0 < K < R."""
+    rows = _masks(n, k).size
+    return 0 < (1 << n) - rows < rows
+
+
 def _parities(n: int, k: int) -> np.ndarray:
     """chi_S over the cube, one row per subset of order <= k in the order of
     :func:`_masks`, the empty set's first."""
@@ -150,7 +156,7 @@ def test_kernel_rows_span_the_kernel_of_the_marginal_rows(n):
     full column rank K, because its rows x = T, taken in order of |T|, form
     a unit lower triangular block."""
     points = np.arange(1 << n, dtype=np.uint64)
-    regime = [k for k in range(n + 1) if 0 < points.size - _masks(n, k).size < _masks(n, k).size]
+    regime = [k for k in range(n + 1) if _kernel_form(n, k)]
     assert regime
     for k in regime:
         masks = _masks(n, k)
@@ -180,3 +186,49 @@ def test_certificate_evaluation_past_int64():
     cert = fooling.sandwich_from_dual(side)
     assert cert.slack_added == 0
     assert cert.coefficients == {(): 2 ** 30, (0,): 2 ** 29, (1,): -2 ** 29}
+
+
+@pytest.mark.parametrize("n,k", [(6, 1), (6, 3), (6, 4), (6, 6), (10, 10)])
+def test_solver_call_runs_highs_without_presolve(monkeypatch, n, k):
+    """Every ``linprog`` call has presolve off, both feasibility tolerances
+    at LP_FEAS_TOL, and the method of its form: ``_lp_method``'s choice for
+    the marginal form (interior point at (10, 10), 1,024 rows), interior
+    point for the kernel form."""
+    calls = []
+    solve = fooling.linprog
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(fooling, "linprog", spy)
+    p = random_poly(n, np.random.default_rng(n * 10 + k))
+    fooling.worst_case_lp(p, k, emit_witness=False)
+    fooling.intersection_deviation([p, random_poly(n, np.random.default_rng(k))], k)
+    assert len(calls) == 4
+    for kwargs in calls:
+        options = kwargs["options"]
+        assert options["presolve"] is False
+        assert options["primal_feasibility_tolerance"] == config.LP_FEAS_TOL
+        assert options["dual_feasibility_tolerance"] == config.LP_FEAS_TOL
+        want = ("highs-ipm" if _kernel_form(n, k)
+                else fooling._lp_method(kwargs["A_eq"].shape[0]))
+        assert kwargs["method"] == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 8), data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_marginal_form_optimum_is_a_vertex(n, data, seed):
+    """In the marginal form both sides' optimal distributions are simplex
+    vertices: the marginal rows restricted to the support have full column
+    rank, so the witness repair never pins a column.  With presolve off no
+    postsolve stands between the simplex basis and the repair."""
+    k = data.draw(st.sampled_from([k for k in range(n + 1) if not _kernel_form(n, k)]),
+                  label="k")
+    p = random_poly(n, np.random.default_rng(seed))
+    _, sides = fooling._solve_lp(fooling.sgn_values(p), n, k, "sgn")
+    for side in sides:
+        support = np.nonzero(side.weights > config.WITNESS_SUPPORT_TOL)[0]
+        M = fooling._marginal_rows(side.masks, support.astype(np.uint64)).toarray()
+        assert np.linalg.matrix_rank(M) == support.size, side.sense
+        assert fooling._pivot_rows(M)[1] == support.size, side.sense
