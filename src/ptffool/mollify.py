@@ -238,8 +238,13 @@ def _kernel_partial_grid(beta: tuple[int, ...], psi: Sequence[np.ndarray], r: np
     rule on g*g.
     """
     coords = r[..., None, None] * omega
-    powers = [[None] + [coords[..., axis] ** e for e in range(1, b + 1)]
-              for axis, b in enumerate(beta)]
+    powers = []
+    for axis, b in enumerate(beta):     # by multiplication: ** leaves SIMD on x < 0
+        x = coords[..., axis]
+        p = [None, x]
+        while len(p) <= b:
+            p.append(p[-1] * x)
+        powers.append(p)
 
     def g_partial(alpha):
         out = 0.0

@@ -465,9 +465,19 @@ def build_kwise_gaussian(n: int, k: int, method: str = "inverse_cdf",
 
 # --------------------------------------------------------------------------
 # file format
-
-# header: `n k num_points weighted:{0,1}`; one point per line as ±1
-# integers, with a trailing exact fraction `p/q` when weighted.
+#
+# The grammar, exactly what ``dump_sample_space`` writes:
+#   - a header line `n k num_points weighted:{0,1}`, split on whitespace;
+#   - then num_points point lines of n cells each;
+#   - a cell is `1` or `-1`, with one space between cells and `\n` after the
+#     last one;
+#   - in a weighted file, each line ends instead with one space, then the
+#     point's exact weight `p/q` (a token ``Fraction`` reads, with no
+#     whitespace), then `\n`.
+# Nothing else is accepted: no tab, `\r`, doubled, leading or trailing
+# space, and no other spelling of an integer.  Only the file's final `\n`
+# may be missing.  Files are written and read as bytes, and read a block
+# of whole lines (about BLOCK_ELEMENTS bytes) at a time.
 
 
 def dump_sample_space(space: SampleSpace, path) -> None:
@@ -479,42 +489,116 @@ def dump_sample_space(space: SampleSpace, path) -> None:
     cells[..., 2] = ord(" ")
     cells[:, -1, 2] = ord("\n")
     flat = cells.ravel()
-    body = flat[flat != 0].tobytes().decode("ascii")
+    body = flat[flat != 0].tobytes()
     weighted = space.weights is not None
     if weighted:
-        body = "".join(f"{coords} {w.numerator}/{w.denominator}\n" for coords, w
-                       in zip(body.splitlines(), space.weights))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{space.n} {space.k_claimed} {space.num_points} "
-                 f"weighted:{int(weighted)}\n")
+        body = b"".join(b"%s %d/%d\n" % (coords, w.numerator, w.denominator) for coords, w
+                        in zip(body.splitlines(), space.weights))
+    with open(path, "wb") as fh:
+        fh.write(b"%d %d %d weighted:%d\n" % (space.n, space.k_claimed,
+                                               space.num_points, weighted))
         fh.write(body)
 
 
+def _negative_cells(buf: np.ndarray, n: int) -> Optional[np.ndarray]:
+    """Which cells of the point lines ``buf[1:]`` are -1, as a bool array in
+    row-major order; None if ``buf[1:]`` is anything but whole lines of n
+    cells under the grammar.  ``buf[0]`` is the newline before them.
+
+    Every byte must be a `1`, the separator after a `1` (a space, or a
+    newline after every n-th cell) or a `-` before a `1`; those bytes are
+    distinct, so counting them proves that nothing else is present.
+    """
+    ones = np.flatnonzero(buf[1:] == ord("1"))
+    separators = np.full(len(ones), ord(" "), dtype=np.uint8)
+    separators[n - 1::n] = ord("\n")
+    if not np.array_equal(buf[2:][ones], separators):  # buf[1:] ends in "\n"
+        return None
+    neg = buf[ones] == ord("-")                     # the byte before each 1
+    return neg if 2 * len(ones) + np.count_nonzero(neg) == len(buf) - 1 else None
+
+
+def _weight(token: bytes) -> Fraction:
+    """A weight token as ``Fraction`` reads it, less the whitespace it allows."""
+    text = token.decode("ascii")
+    if text != text.strip():
+        raise ValueError(f"weight {text!r} has whitespace")
+    return Fraction(text)
+
+
+def _grammar_error(lines: list[bytes], first: int, n: int, weighted: bool) -> ValueError:
+    """The error naming the first of ``lines``, which start at file line
+    ``first``, that breaks the grammar."""
+    for i, line in enumerate(lines, start=first):
+        coords = line
+        try:
+            if weighted:
+                coords, _, token = line.rpartition(b" ")
+                _weight(token)
+        except (ValueError, ZeroDivisionError) as exc:
+            return ValueError(f"line {i}: {exc}")
+        cells = coords.split(b" ")
+        if len(cells) != n or not all(c in (b"1", b"-1") for c in cells):
+            return ValueError(f"line {i}: expected {n} cells of 1 or -1 "
+                              f"separated by single spaces, got {line[:80]!r}")
+    return ValueError(f"malformed point lines from line {first}")
+
+
+def _read_points(fh, n: int, num: int,
+                 weighted: bool) -> tuple[np.ndarray, Optional[list[Fraction]]]:
+    """The (num, n) int8 point table, and the weights, of the point lines
+    that follow the header in the binary file ``fh``, read and parsed a
+    block of whole lines at a time."""
+    table = np.empty(num * n, dtype=np.int8)
+    weights: Optional[list[Fraction]] = [] if weighted else None
+    filled = 0
+    pending = b"\n"        # the newline that ends the last whole line, then the rest
+    while True:
+        chunk = fh.read(BLOCK_ELEMENTS)
+        if not chunk:
+            if len(pending) == 1:
+                break
+            chunk = b"\n"                   # a last line without its newline
+        data = pending + chunk
+        end = data.rfind(b"\n") + 1
+        pending = data[end - 1:]
+        if end == 1:                        # a line longer than the block so far
+            continue
+        if weighted:        # the coordinates through the same parser, then the weights
+            parts = [line.rpartition(b" ") for line in data[1:end - 1].split(b"\n")]
+            neg = _negative_cells(np.frombuffer(
+                b"\n" + b"\n".join(p[0] for p in parts) + b"\n", dtype=np.uint8), n)
+            try:
+                weights += [_weight(p[2]) for p in parts]
+            except (ValueError, ZeroDivisionError):
+                neg = None
+        else:
+            neg = _negative_cells(np.frombuffer(data, dtype=np.uint8)[:end], n)
+        if neg is None:
+            raise _grammar_error(data[1:end - 1].split(b"\n"), 2 + filled // n, n, weighted)
+        if filled + len(neg) > len(table):
+            raise ValueError(f"more point lines than the {num} the header declares")
+        out = table[filled:filled + len(neg)]
+        np.multiply(neg.view(np.int8), np.int8(-2), out=out)
+        out += 1
+        filled += len(neg)
+    if filled < len(table):
+        raise ValueError(f"{filled // n} point lines, header declares {num}")
+    return table.reshape(num, n), weights
+
+
 def load_sample_space(path) -> SampleSpace:
-    """Read a space file strictly: the header, then exactly num_points
-    lines of n coordinates, each 1 or -1, plus one exact weight when
-    weighted.  Any deviation raises FormatError."""
+    """Read a space file strictly under the grammar above: the header, then
+    exactly num_points point lines.  Any deviation raises FormatError; a
+    malformed point line is named by its line number."""
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            header = fh.readline().split()
-            lines = fh.read().split("\n")
-        n, k, num = (int(v) for v in header[:3])
-        weighted = header[3:] == ["weighted:1"]
-        if header[3:] not in (["weighted:0"], ["weighted:1"]) or min(n, num) < 1 or k < 0:
-            raise ValueError(f"bad header {header}")
-        if lines[-1] == "":
-            lines.pop()
-        if len(lines) != num:
-            raise ValueError(f"{len(lines)} point lines, header declares {num}")
-        table = np.loadtxt(lines, dtype=str if weighted else np.int8,
-                           comments=None, ndmin=2)
-        if table.shape != (num, n + weighted):
-            raise ValueError(f"point table of shape {table.shape}, "
-                             f"expected {(num, n + weighted)}")
-        points = table[:, :n].astype(np.int8)
-        if not np.all(np.abs(points) == 1):
-            raise ValueError("coordinates must be 1 or -1")
-        weights = [Fraction(w) for w in table[:, n]] if weighted else None
+        with open(path, "rb") as fh:
+            header = fh.readline().decode("ascii").split()
+            n, k, num = (int(v) for v in header[:3])
+            weighted = header[3:] == ["weighted:1"]
+            if header[3:] not in (["weighted:0"], ["weighted:1"]) or min(n, num) < 1 or k < 0:
+                raise ValueError(f"bad header {header}")
+            points, weights = _read_points(fh, n, num, weighted)
         return SampleSpace(n=n, k_claimed=k, points=points, weights=weights,
                            method="file")
     except (ValueError, OverflowError, ZeroDivisionError) as exc:

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import random_poly
 from gw_files import dump_embedding, dump_graph
-from ptffool import config, fooling, gw, spaces, tree
+from ptffool import config, fooling, gf2, gw, spaces, tree
 from ptffool.cli import main
 from ptffool.poly import DegTwoPoly, dump_poly
 
@@ -327,11 +327,49 @@ GOOD_SPACE = "2 1 2 weighted:0\n1 1\n-1 -1\n"
     ("no points", "2 1 0 weighted:0\n"),
     ("empty file", ""),
     ("not ascii", "2 1 2 weighted:0\n1 1\n-1 −1\n"),
+    # whitespace and integer spellings other than one space, `1` and `-1`
+    ("tab", "2 1 2 weighted:0\n1\t1\n-1 -1\n"),
+    ("double space", "2 1 2 weighted:0\n1  1\n-1 -1\n"),
+    ("CRLF line ends", "2 1 2 weighted:0\r\n1 1\r\n-1 -1\r\n"),
+    ("plus sign", "2 1 2 weighted:0\n1 +1\n-1 -1\n"),
+    ("leading zero", "2 1 2 weighted:0\n01 1\n-1 -1\n"),
+    ("leading space", "2 1 2 weighted:0\n 1 1\n-1 -1\n"),
+    ("trailing space", "2 1 2 weighted:0\n1 1 \n-1 -1\n"),
+    ("no separator", "2 1 2 weighted:0\n1-1\n-1 -1\n"),
+    ("weighted CRLF", "2 1 2 weighted:1\r\n1 1 1/2\r\n-1 -1 1/2\r\n"),
+    ("tab before weight", "2 1 2 weighted:1\n1 1\t1/2\n-1 -1 1/2\n"),
 ])
 def test_malformed_space_files_exit_64(tmp_path, label, text):
     path = tmp_path / "bad.space"
     path.write_bytes(text.encode("utf-8"))
     assert main(["kwise", "verify", "--space", str(path)]) == 64, label
+
+
+@pytest.mark.parametrize("offset", [0, 1, 2])
+def test_stray_byte_mid_block_names_its_line(tmp_path, capsys, product_poly_file, offset):
+    """A stray byte inside one of several parse blocks exits 64 through both
+    commands that read space files, and the error names its line."""
+    path = tmp_path / "bad.space"
+    spaces.dump_sample_space(spaces.build_kwise_bernoulli(16, 4), path)
+    data = bytearray(path.read_bytes())
+    assert len(data) > 4 * gf2.BLOCK_ELEMENTS
+    at = len(data) // 2 + offset
+    data[at] = ord("x")
+    path.write_bytes(bytes(data))
+    line = data.count(b"\n", 0, at) + 1
+    assert main(["kwise", "verify", "--space", str(path)]) == 64
+    assert f": line {line}: expected 16 cells" in capsys.readouterr().err
+    assert main(["fool", "exact", "--poly", product_poly_file,
+                 "--space", str(path)]) == 64
+    assert f": line {line}: " in capsys.readouterr().err
+
+
+def test_space_file_without_final_newline_loads(tmp_path):
+    path = tmp_path / "s.space"
+    path.write_text(GOOD_SPACE[:-1])
+    assert main(["kwise", "verify", "--space", str(path)]) == 0
+    path.write_text("2 1 2 weighted:1\n1 1 1/2\n-1 -1 1/2")
+    assert main(["kwise", "verify", "--space", str(path)]) == 0
 
 
 GOOD_POLY = "2\nC 0.5\nL 1 1.0\nQ 1 2 -1.0\n"

@@ -21,6 +21,32 @@ def test_deriv_l1_norm_matches_per_point_quadrature(d, beta):
     assert abs(got - want) <= 1e-13 * abs(want), (got, want)
 
 
+# The fourteen norms to the last bit.  Their sums run in a fixed order, so
+# a drift here means the kernel grid changed (a power or product taken
+# another way), which the 1e-13 oracle above would let pass.
+L1_NORM_HEX = {
+    (1, (0,)): "0x1.ffffcc0ec8593p-1",
+    (1, (1,)): "0x1.14c15238197a0p-1",
+    (1, (2,)): "0x1.cfc74cca754d9p-2",
+    (1, (3,)): "0x1.e3fadd9b68b43p-2",
+    (2, (0, 0)): "0x1.fffd4215e77d8p-1",
+    (2, (0, 1)): "0x1.03475f1152312p-1",
+    (2, (0, 2)): "0x1.994eaf8f2e93ep-2",
+    (2, (0, 3)): "0x1.94316609c9267p-2",
+    (2, (1, 0)): "0x1.03475f1152312p-1",
+    (2, (1, 1)): "0x1.02dcf1f400fe6p-2",
+    (2, (1, 2)): "0x1.8cdc4a978d93bp-3",
+    (2, (2, 0)): "0x1.994eaf8f2e93ep-2",
+    (2, (2, 1)): "0x1.8cdc4a978d93bp-3",
+    (2, (3, 0)): "0x1.94316609c9266p-2",
+}
+
+
+def test_deriv_l1_norms_are_pinned_to_the_bit():
+    got = {(d, beta): mollify.deriv_l1_norm(d, beta).value.hex() for d, beta in BETAS}
+    assert got == L1_NORM_HEX
+
+
 def test_psi_table_is_built_once_per_dimension(monkeypatch, tmp_path):
     """Two full l1 suites per dimension evaluate psi_0..psi_3 once each."""
     calls = []

@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import kwise_reference
 from cube_reference import fwht, parity_column_for_points
@@ -471,3 +472,55 @@ def test_weighted_space_file_round_trip(tmp_path):
     back = spaces.load_sample_space(path)
     assert np.array_equal(back.points, space.points)
     assert back.weights == space.weights
+
+
+@st.composite
+def space_files(draw):
+    """A random ±1 table, n from 1 to 24, some with weights."""
+    n = draw(st.integers(min_value=1, max_value=24))
+    rows = draw(st.integers(min_value=1, max_value=120))
+    points = draw(arrays(np.int8, (rows, n), elements=st.sampled_from([-1, 1])))
+    weights = None
+    if draw(st.booleans()):
+        raw = draw(st.lists(st.integers(min_value=1, max_value=10 ** 9),
+                            min_size=rows, max_size=rows))
+        weights = [Fraction(r, sum(raw)) for r in raw]
+    return spaces.SampleSpace(n=n, k_claimed=min(n, 3), points=points, weights=weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(space_files(), st.integers(min_value=4, max_value=256))
+# every line opens with -1, so every parsed block after the first starts at
+# a "-"; then lines opening with -1 and 1 by turns, about two to a block
+@example(spaces.SampleSpace(n=1, k_claimed=1, points=-np.ones((90, 1), dtype=np.int8)), 10)
+@example(spaces.SampleSpace(n=3, k_claimed=1, points=np.tile([[-1], [1]], (40, 3))
+                            * np.array([[1, -1, 1]], dtype=np.int8)), 16)
+def test_space_file_round_trip_across_blocks(tmp_path_factory, space, block):
+    """load(dump(s)) == s when the reader takes the file in blocks of a few
+    dozen bytes: blocks of many lines, lines longer than a block, and block
+    ends right before a -1 line."""
+    path = tmp_path_factory.mktemp("space") / "s.space"
+    spaces.dump_sample_space(space, path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spaces, "BLOCK_ELEMENTS", block)
+        back = spaces.load_sample_space(path)
+    assert (back.n, back.k_claimed) == (space.n, space.k_claimed)
+    assert back.points.dtype == np.int8 and np.array_equal(back.points, space.points)
+    assert back.weights == space.weights
+
+
+def test_loading_a_space_file_peaks_at_its_bytes_table_and_a_few_blocks(tmp_path):
+    """The n=16 Vandermonde file (65,536 lines over about five blocks) loads
+    within its own bytes, the int8 point table and six blocks' temporaries."""
+    path = tmp_path / "s.space"
+    spaces.dump_sample_space(spaces.build_kwise_bernoulli(16, 4), path)
+    size = path.stat().st_size
+    spaces.load_sample_space(path)
+    tracemalloc.start()
+    try:
+        back = spaces.load_sample_space(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size > 4 * gf2.BLOCK_ELEMENTS
+    assert peak <= size + back.points.nbytes + 6 * gf2.BLOCK_ELEMENTS, peak / 2 ** 20
